@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from fourstab.bounds import dft_freq_bounds
+from fourstab import bounds as bnd
 from fourstab.cli import ConfigError, dispatch, load_config, parse_points, parse_real
-from fourstab.core_matrix import ComplexDense, build_dft
+from fourstab.core_matrix import ComplexDense, FrequencySet, build_dft
 from fourstab.spectral import svd_values
 
 
@@ -75,11 +76,65 @@ class TestBuildCommand:
         assert mat.data[2, 1] == 1j
 
 
+def _nulled(obj):
+    """obj with every non-finite float replaced by None, as strict JSON carries it."""
+    if isinstance(obj, dict):
+        return {k: _nulled(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_nulled(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _instability_doc(n):
+    values = bnd.instability_spectrum(n)
+    return {"theorem": "instability_spectrum", "singular_values": values, "condition": values[0] / values[-1]}
+
+
+# Every --theorem name: its flags and the direct library call it must reproduce.
+THEOREM_CASES = {
+    "kadec": (
+        ["--a", "1", "--b", "2", "--ell", "1/10", "--d", "2"],
+        lambda: bnd.perturbed_frame_bounds(1.0, 2.0, 0.1, 2, False).to_dict(),
+    ),
+    "dft-freq": (
+        ["--m", "4,4", "--ell", "0.2", "--rank-one"],
+        lambda: bnd.dft_freq_bounds([4, 4], 0.2, True).to_dict(),
+    ),
+    "t3": (["--m", "16", "--ell", "0.1"], lambda: bnd.dft_freq_bounds((16,), 0.1).to_dict()),
+    "weyl-freq": (
+        ["--sigma-r", "2", "--sigma-1", "3", "--L", "8", "--n", "4", "--eps", "0.01", "--p-norm", "2"],
+        lambda: bnd.weyl_freq_bounds(2.0, 3.0, 8, 4, 1, 2.0, 0.01).to_dict(),
+    ),
+    "weyl-node": (
+        ["--sigma-r", "2", "--sigma-1", "3", "--p", "0,1,2", "--n", "3", "--eps", "0.01"],
+        lambda: bnd.weyl_node_bounds(2.0, 3.0, FrequencySet([[0], [1], [2]]), 3, float("inf"), 0.01).to_dict(),
+    ),
+    "vandermonde-node": (
+        ["--sigma-r", "5", "--sigma-1", "6", "--ell", "0.1"],
+        lambda: bnd.vandermonde_node_bounds(5.0, 6.0, 0.1).to_dict(),
+    ),
+    "rectangular": (
+        ["--sigma-r", "7", "--sigma-1", "8", "--ell", "1/20"],
+        lambda: bnd.vandermonde_node_bounds(7.0, 8.0, 0.05).to_dict(),
+    ),
+    "wellsep": (["--L", "4", "--sep", "1/2"], lambda: bnd.wellsep_bounds(4, 0.5).to_dict()),
+    "clump": (
+        ["--L", "96", "--n", "8", "--alpha", "0.001", "--lambda", "2", "--c-universal", "0.5", "--c-small", "2"],
+        lambda: bnd.clump_bounds(96, 8, 0.001, 2, 0.5, 2.0).to_dict(),
+    ),
+    "instability": (["--n", "5"], lambda: _instability_doc(5)),
+}
+
+
 class TestBoundsCommand:
-    def test_t3_pass_through(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds", "--theorem", "t3", "--m", "16", "--ell", "0.1")
+    @pytest.mark.parametrize("theorem", list(THEOREM_CASES))
+    def test_t3_pass_through(self, capsys, theorem):
+        flags, direct = THEOREM_CASES[theorem]
+        code, out, _ = run_cli(capsys, "bounds", "--theorem", theorem, *flags)
         assert code == 0
-        assert json.loads(out) == dft_freq_bounds((16,), 0.1).to_dict()
+        assert _nulled(json.loads(out)) == _nulled(direct())
 
     def test_gated_ell_is_report_not_error(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--theorem", "t3", "--m", "4", "--ell", "0.3")
