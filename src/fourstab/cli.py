@@ -4,7 +4,8 @@ Subcommands: build, spectral, bounds, classify, verify, experiment.
 Torus-valued inputs accept exact fractions ("1/2") as well as decimals so
 degenerate rational cases can be expressed without rounding.  Exit codes:
 0 success, 1 computation failure (JSON error object on stderr), 2 usage or
-configuration error.
+configuration error.  Every JSON document printed or written is strict JSON:
+a non-finite number appears as null.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -80,18 +81,77 @@ class ConfigError(ValueError):
         self.field_name = field_name
 
 
-_EXPERIMENT_FIELDS = {
-    "figure1": ("n_list",),
-    "freq_stability": ("m", "ell_grid"),
-    "node_stability": ("L", "n", "ell_grid"),
-    "wellsep": ("L_grid",),
-    "benchmark": ("m",),
-    "clump": ("L", "n", "alpha_grid", "lambda"),
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Config field types: (description for error messages, check).
+_INT = ("an integer", _is_int)
+_SEED = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+_POSITIVE_INT = ("a positive integer", lambda v: _is_int(v) and v >= 1)
+_BOOL = ("true or false", lambda v: isinstance(v, bool))
+_INTS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)))
+_REALS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_real, v)))
+_FORMAT = ('"json" or "csv"', lambda v: v in ("json", "csv"))
+_PATH = ("a string or null", lambda v: v is None or isinstance(v, str))
+_CONSTANTS = (
+    'an object with numbers under "c_universal" and "c_small"',
+    lambda v: isinstance(v, dict) and set(v) <= {"c_universal", "c_small"} and all(map(_is_real, v.values())),
+)
+
+
+# Fields every experiment config takes besides "command" and "experiment".
+_COMMON_FIELDS = {
+    "seed": (_SEED, 0),
+    "trials": (_POSITIVE_INT, 1),
+    "format": (_FORMAT, "json"),
+    "output": (_PATH, None),
+}
+
+# Experiment name -> (required fields: type, optional fields: (type, default),
+# run(params, sweep_config) returning the records, or a report dict for benchmark).
+_EXPERIMENTS = {
+    "figure1": (
+        {"n_list": _INTS},
+        {"crossover": (_INT, exp.CROSSOVER_DIM)},
+        lambda p, c: exp.figure1_sweep(p["n_list"], replace(c, crossover=p["crossover"])),
+    ),
+    "freq_stability": (
+        {"m": _INTS, "ell_grid": _REALS},
+        {"rank_one": (_BOOL, False)},
+        lambda p, c: exp.freq_stability_sweep(p["m"], p["ell_grid"], p["rank_one"], c),
+    ),
+    "node_stability": (
+        {"L": _INT, "n": _INT, "ell_grid": _REALS},
+        {},
+        lambda p, c: exp.node_stability_sweep(p["L"], p["n"], p["ell_grid"], c),
+    ),
+    "wellsep": ({"L_grid": _INTS}, {}, lambda p, c: exp.wellsep_sweep(p["L_grid"], c)),
+    "benchmark": ({"m": _INTS}, {}, lambda p, c: exp.benchmark_comparison(p["m"], c)),
+    "clump": (
+        {"L": _INT, "n": _INT, "alpha_grid": _REALS, "lambda": _INT},
+        {"constants": (_CONSTANTS, {})},
+        lambda p, c: exp.clump_experiment(
+            p["L"],
+            p["n"],
+            p["alpha_grid"],
+            p["lambda"],
+            (p["constants"].get("c_universal", 1.0), p["constants"].get("c_small", 1.0)),
+            c,
+        ),
+    ),
 }
 
 
 def load_config(path: str) -> CliConfig:
-    """Load and validate an experiment config file with defaults applied."""
+    """Load and validate an experiment config file with defaults applied.
+
+    A missing, unknown or wrongly typed field raises ConfigError naming it.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -108,30 +168,48 @@ def load_config(path: str) -> CliConfig:
     if "experiment" not in doc:
         raise ConfigError("experiment", "missing")
     name = doc["experiment"]
-    if name not in _EXPERIMENT_FIELDS:
-        raise ConfigError("experiment", f"unknown experiment {name!r} (choices: {sorted(_EXPERIMENT_FIELDS)})")
-    for required in _EXPERIMENT_FIELDS[name]:
-        if required not in doc:
-            raise ConfigError(required, f"missing (required by experiment {name!r})")
-    fmt = doc.get("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigError("format", f"must be 'json' or 'csv', got {fmt!r}")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed", "must be an integer")
-    trials = doc.get("trials", 1)
-    if not isinstance(trials, int) or trials < 1:
-        raise ConfigError("trials", "must be a positive integer")
-    params = {k: v for k, v in doc.items() if k not in ("command", "experiment", "seed", "format", "output")}
-    params["trials"] = trials
+    if not isinstance(name, str) or name not in _EXPERIMENTS:
+        raise ConfigError("experiment", f"unknown experiment {name!r} (choices: {sorted(_EXPERIMENTS)})")
+    required, optional, _ = _EXPERIMENTS[name]
+    for key in required:
+        if key not in doc:
+            raise ConfigError(key, f"missing (required by experiment {name!r})")
+    optional = {**_COMMON_FIELDS, **optional}
+    types = {**required, **{key: kind for key, (kind, _) in optional.items()}}
+    values = {key: default for key, (_, default) in optional.items()}
+    for key, value in doc.items():
+        if key in ("command", "experiment"):
+            continue
+        if key not in types:
+            raise ConfigError(key, f"unknown field for experiment {name!r} (accepted: {sorted(types)})")
+        description, check = types[key]
+        if not check(value):
+            raise ConfigError(key, f"must be {description}, got {value!r}")
+        values[key] = value
     return CliConfig(
         command=command,
         experiment=name,
-        params=params,
-        seed=seed,
-        format=fmt,
-        output=doc.get("output"),
+        params={k: v for k, v in values.items() if k not in ("seed", "format", "output")},
+        seed=values["seed"],
+        format=values["format"],
+        output=values["output"],
     )
+
+
+# --theorem name -> (function in fourstab.bounds, the flags giving its arguments
+# in order).  A flag is required unless it has a default.
+_THEOREMS = {
+    "kadec": ("perturbed_frame_bounds", ("a", "b", "ell", "d", "rank-one")),
+    "dft-freq": ("dft_freq_bounds", ("m", "ell", "rank-one")),
+    "t3": ("dft_freq_bounds", ("m", "ell", "rank-one")),
+    "weyl-freq": ("weyl_freq_bounds", ("sigma-r", "sigma-1", "L", "n", "d", "p-norm", "eps")),
+    "weyl-node": ("weyl_node_bounds", ("sigma-r", "sigma-1", "p", "n", "p-norm", "eps")),
+    "vandermonde-node": ("vandermonde_node_bounds", ("sigma-r", "sigma-1", "ell")),
+    "rectangular": ("vandermonde_node_bounds", ("sigma-r", "sigma-1", "ell")),
+    "wellsep": ("wellsep_bounds", ("L", "sep")),
+    "clump": ("clump_bounds", ("L", "n", "alpha", "lam", "c-universal", "c-small")),
+    "instability": ("instability_spectrum", ("n",)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,32 +229,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--figure1", type=int, help="sign-perturbed DFT of odd size n")
 
     p_build = sub.add_parser("build", help="construct a matrix and emit it")
+    p_build.set_defaults(run=_cmd_build)
     add_matrix_source(p_build)
     p_build.add_argument("--out", help="output path (default stdout)")
     p_build.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_spec = sub.add_parser("spectral", help="singular values and condition number")
+    p_spec.set_defaults(run=_cmd_spectral)
     add_matrix_source(p_spec)
     p_spec.add_argument("--input", help="matrix JSON file produced by build")
     p_spec.add_argument("--out", help="output path (default stdout)")
 
     p_bounds = sub.add_parser("bounds", help="evaluate a closed-form stability bound")
-    p_bounds.add_argument(
-        "--theorem",
-        required=True,
-        choices=(
-            "kadec",
-            "dft-freq",
-            "t3",
-            "weyl-freq",
-            "weyl-node",
-            "vandermonde-node",
-            "rectangular",
-            "wellsep",
-            "clump",
-            "instability",
-        ),
-    )
+    p_bounds.set_defaults(run=_cmd_bounds)
+    p_bounds.add_argument("--theorem", required=True, choices=tuple(_THEOREMS))
     p_bounds.add_argument("--m", help="DFT lattice sides")
     p_bounds.add_argument("--ell", help="sup-norm perturbation size (fractions ok)")
     p_bounds.add_argument("--rank-one", action="store_true")
@@ -198,15 +264,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--out", help="output path (default stdout)")
 
     p_cls = sub.add_parser("classify", help="classify an exponential system")
+    p_cls.set_defaults(run=_cmd_classify)
     p_cls.add_argument("--deltas", required=True)
     p_cls.add_argument("--p", required=True)
     p_cls.add_argument("--tol", help="rank tolerance override")
     p_cls.add_argument("--out", help="output path (default stdout)")
 
     p_ver = sub.add_parser("verify", help="run the invariant suites")
+    p_ver.set_defaults(run=_cmd_verify)
     p_ver.add_argument("--seed", type=int, default=0)
 
     p_exp = sub.add_parser("experiment", help="run a named sweep from a JSON config")
+    p_exp.set_defaults(run=_cmd_experiment)
     p_exp.add_argument("--config", required=True)
     p_exp.add_argument("--seed", type=int, help="override the config seed")
     p_exp.add_argument("--trials", type=int, help="override the config trial count")
@@ -248,87 +317,37 @@ def _cmd_build(args) -> int:
 
 def _cmd_spectral(args) -> int:
     mat = _matrix_from_args(args)
-    _emit(svd_values(mat).to_json(), args.out)
+    _emit(exp.strict_json(svd_values(mat).to_dict()), args.out)
     return 0
 
 
-def _require(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) in (None, "")]
-    if missing:
-        raise ValueError(f"--theorem {args.theorem} requires flags: {', '.join('--' + n for n in missing)}")
+def _bound_argument(args, flag: str):
+    value = getattr(args, flag.replace("-", "_"))
+    if flag == "m":
+        return parse_ints(value)
+    if flag == "p":
+        return FrequencySet(parse_points(value))
+    return parse_real(value) if isinstance(value, str) else value
 
 
 def _cmd_bounds(args) -> int:
-    theorem = args.theorem
-    if theorem in ("dft-freq", "t3"):
-        _require(args, ["m", "ell"])
-        report = bnd.dft_freq_bounds(parse_ints(args.m), parse_real(args.ell), args.rank_one)
-    elif theorem == "kadec":
-        _require(args, ["a", "b", "ell"])
-        report = bnd.perturbed_frame_bounds(
-            parse_real(args.a), parse_real(args.b), parse_real(args.ell), args.d, args.rank_one
-        )
-    elif theorem == "weyl-freq":
-        _require(args, ["sigma-r", "sigma-1", "L", "n", "eps"])
-        report = bnd.weyl_freq_bounds(
-            parse_real(args.sigma_r),
-            parse_real(args.sigma_1),
-            args.L,
-            args.n,
-            args.d,
-            parse_real(args.p_norm),
-            parse_real(args.eps),
-        )
-    elif theorem == "weyl-node":
-        _require(args, ["sigma-r", "sigma-1", "p", "n", "eps"])
-        report = bnd.weyl_node_bounds(
-            parse_real(args.sigma_r),
-            parse_real(args.sigma_1),
-            FrequencySet(parse_points(args.p)),
-            args.n,
-            parse_real(args.p_norm),
-            parse_real(args.eps),
-        )
-    elif theorem in ("vandermonde-node", "rectangular"):
-        _require(args, ["sigma-r", "sigma-1", "ell"])
-        report = bnd.vandermonde_node_bounds(
-            parse_real(args.sigma_r), parse_real(args.sigma_1), parse_real(args.ell)
-        )
-    elif theorem == "wellsep":
-        _require(args, ["L", "sep"])
-        report = bnd.wellsep_bounds(args.L, parse_real(args.sep))
-    elif theorem == "clump":
-        _require(args, ["L", "n", "alpha", "lam"])
-        report = bnd.clump_bounds(
-            args.L,
-            args.n,
-            parse_real(args.alpha),
-            args.lam,
-            parse_real(args.c_universal),
-            parse_real(args.c_small),
-        )
-    else:  # instability
-        _require(args, ["n"])
-        values = bnd.instability_spectrum(args.n)
-        _emit(
-            json.dumps(
-                {
-                    "theorem": "instability_spectrum",
-                    "singular_values": values,
-                    "condition": values[0] / values[-1],
-                }
-            ),
-            args.out,
-        )
-        return 0
-    _emit(report.to_json(), args.out)
+    name, flags = _THEOREMS[args.theorem]
+    missing = [f for f in flags if getattr(args, f.replace("-", "_")) in (None, "")]
+    if missing:
+        raise ValueError(f"--theorem {args.theorem} requires flags: {', '.join('--' + f for f in missing)}")
+    result = getattr(bnd, name)(*(_bound_argument(args, f) for f in flags))
+    if name == "instability_spectrum":
+        doc = {"theorem": "instability_spectrum", "singular_values": result, "condition": result[0] / result[-1]}
+    else:
+        doc = result.to_dict()
+    _emit(exp.strict_json(doc), args.out)
     return 0
 
 
 def _cmd_classify(args) -> int:
     spec = ExponentialSystemSpec(NodeSet(parse_points(args.deltas)), FrequencySet(parse_points(args.p)))
     tol = parse_real(args.tol) if args.tol else None
-    _emit(classify_system(spec, tol).to_json(), args.out)
+    _emit(exp.strict_json(classify_system(spec, tol).to_dict()), args.out)
     return 0
 
 
@@ -342,84 +361,43 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _run_experiment(cfg: CliConfig) -> int:
-    params = cfg.params
-    sweep_cfg = exp.SweepConfig(
-        seed=cfg.seed,
-        trials=params.get("trials", 1),
-        crossover=params.get("crossover", exp.CROSSOVER_DIM),
-        output_path=cfg.output,
-    )
-    name = cfg.experiment
-    if name == "figure1":
-        records = exp.figure1_sweep(params["n_list"], sweep_cfg)
-    elif name == "freq_stability":
-        records = exp.freq_stability_sweep(
-            params["m"], params["ell_grid"], params.get("rank_one", False), sweep_cfg
-        )
-    elif name == "node_stability":
-        records = exp.node_stability_sweep(params["L"], params["n"], params["ell_grid"], sweep_cfg)
-    elif name == "wellsep":
-        records = exp.wellsep_sweep(params["L_grid"], sweep_cfg)
-    elif name == "benchmark":
-        report = exp.benchmark_comparison(params["m"], sweep_cfg)
+def _cmd_experiment(args) -> int:
+    try:
+        cfg = load_config(args.config)
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    if args.seed is not None:
+        cfg.seed = args.seed
+    if args.trials is not None:
+        cfg.params["trials"] = args.trials
+    if args.out is not None:
+        cfg.output = args.out
+    if args.format is not None:
+        cfg.format = args.format
+    sweep_cfg = exp.SweepConfig(seed=cfg.seed, trials=cfg.params["trials"], output_path=cfg.output)
+    result = _EXPERIMENTS[cfg.experiment][2](cfg.params, sweep_cfg)
+    if isinstance(result, dict):  # benchmark: one report, no records
         if not cfg.output:
-            print(json.dumps(report))
+            print(exp.strict_json(result))
         return 0
-    else:  # clump
-        constants = params.get("constants", {})
-        records = exp.clump_experiment(
-            params["L"],
-            params["n"],
-            params["alpha_grid"],
-            params["lambda"],
-            (constants.get("c_universal", 1.0), constants.get("c_small", 1.0)),
-            sweep_cfg,
-        )
-    violations = sum(1 for r in records if r.violated)
+    violations = sum(1 for r in result if r.violated)
     if not cfg.output:
         if cfg.format == "csv":
-            sys.stdout.write(exp.records_to_csv(records))
+            sys.stdout.write(exp.records_to_csv(result))
         else:
-            print(json.dumps({"records": [r.to_dict() for r in records], "violations": violations}))
+            print(exp.strict_json({"records": [r.to_dict() for r in result], "violations": violations}))
     return 0 if violations == 0 else 1
 
 
 def dispatch(argv: list[str]) -> int:
     """Route a command line to its subcommand; returns the exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "build":
-            return _cmd_build(args)
-        if args.command == "spectral":
-            return _cmd_spectral(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "experiment":
-            try:
-                cfg = load_config(args.config)
-            except ConfigError as exc:
-                print(str(exc), file=sys.stderr)
-                return 2
-            if args.seed is not None:
-                cfg.seed = args.seed
-            if args.trials is not None:
-                cfg.params["trials"] = args.trials
-            if args.out is not None:
-                cfg.output = args.out
-            if args.format is not None:
-                cfg.format = args.format
-            return _run_experiment(cfg)
-        parser.error(f"unknown command {args.command!r}")
-    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
+        return args.run(args)
+    except (ValueError, KeyError, OSError, ArithmeticError, RuntimeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
-    return 0
 
 
 def main() -> None:

@@ -3,7 +3,8 @@
 Each trial draws its randomness from a stream keyed by (seed, trial_index),
 so results are byte-identical across runs and independent of the degree of
 parallelism.  Records serialize to CSV (12 significant digits, wall time
-excluded so repeated runs are byte-identical) and to a JSON report.
+excluded so repeated runs are byte-identical) and to a strict JSON report,
+in which a non-finite number is written as null.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import bounds as bnd
 from .core_matrix import (
-    ComplexDense,
     PerturbationMap,
     build_figure1,
     build_perturbed_dft_freq,
@@ -51,6 +51,7 @@ __all__ = [
     "write_csv",
     "write_report",
     "records_to_csv",
+    "strict_json",
 ]
 
 VIOLATION_SLACK = 1e-9
@@ -60,11 +61,7 @@ VIOLATION_SLACK = 1e-9
 class SweepConfig:
     seed: int = 0
     trials: int = 1
-    size_grid: tuple = ()
-    ell_grid: tuple = ()
-    dimensions: int = 1
     crossover: int = CROSSOVER_DIM
-    slack: float = VIOLATION_SLACK
     output_path: str | None = None
     workers: int | None = None
 
@@ -96,15 +93,7 @@ class SweepRecord:
         return any(self.violations.values())
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": self.params,
-            "measured": self.measured,
-            "bounds": self.bounds,
-            "violations": self.violations,
-            "wall_time_s": self.wall_time_s,
-            "artifacts": self.artifacts,
-        }
+        return asdict(self)
 
 
 def _fmt(value) -> str:
@@ -142,42 +131,96 @@ def write_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
     Path(path).write_text(records_to_csv(records))
 
 
+def _finite_or_none(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
+def strict_json(doc, **kwargs) -> str:
+    """JSON text of ``doc`` with every NaN or infinity written as null."""
+    return json.dumps(_finite_or_none(doc), allow_nan=False, **kwargs)
+
+
 def write_report(
     cfg: SweepConfig, records: Sequence[SweepRecord], path: str | Path, wall_time_s: float
 ) -> None:
     doc = {
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(cfg).items()},
+        "config": vars(cfg),
         "records": [r.to_dict() for r in records],
         "violations": sum(1 for r in records if r.violated),
         "wall_time_s": wall_time_s,
     }
-    Path(path).write_text(json.dumps(doc, indent=2))
+    Path(path).write_text(strict_json(doc, indent=2))
 
 
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(trial_index)])
 
 
-def _run_indexed(fn: Callable[[int], SweepRecord], count: int, cfg: SweepConfig) -> list[SweepRecord]:
+def _sweep(
+    experiment: str,
+    tag: str,
+    jobs: Sequence,
+    trial: Callable[[object, int, np.random.Generator], tuple],
+    cfg: SweepConfig,
+) -> list[SweepRecord]:
+    """Run ``trial(job, t, rng)`` for every job and every t < cfg.trials.
+
+    A trial returns the record's params, measured, bounds and violations
+    columns and the matrix to dump if a violation is flagged.  Trial i of
+    the flattened (job, t) grid draws from ``_trial_rng(cfg.seed, i)`` and
+    its wall time runs from that stream's creation to its record's.  With
+    an output path set, the CSV and its JSON report are written there.
+    """
+    if not jobs:
+        raise ValueError(f"{experiment}: the sweep grid must be nonempty")
+    started = time.perf_counter()
+    grid = [(job, t) for job in jobs for t in range(cfg.trials)]
+
+    def one(i: int) -> SweepRecord:
+        t0 = time.perf_counter()
+        rng = _trial_rng(cfg.seed, i)
+        job, t = grid[i]
+        params, measured, bounds, violations, matrix = trial(job, t, rng)
+        rec = SweepRecord(experiment, params, measured, bounds, violations, wall_time_s=time.perf_counter() - t0)
+        if rec.violated:
+            base = Path(cfg.output_path or "violation")
+            dump = base.with_name(base.name + f".violation-{tag}-{i}.json")
+            dump.write_text(matrix.to_json())
+            rec.artifacts["matrix_dump"] = str(dump)
+        return rec
+
     workers = cfg.effective_workers()
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
-def _dump_violation(matrix: ComplexDense, cfg: SweepConfig, tag: str) -> str:
-    base = Path(cfg.output_path) if cfg.output_path else Path("violation")
-    path = base.with_name(base.name + f".violation-{tag}.json")
-    path.write_text(matrix.to_json())
-    return str(path)
-
-
-def _maybe_write(cfg: SweepConfig, records: list[SweepRecord], started: float) -> None:
+    if workers <= 1 or len(grid) <= 1:
+        records = [one(i) for i in range(len(grid))]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(one, range(len(grid))))
     if cfg.output_path:
         out = Path(cfg.output_path)
         write_csv(records, out)
         write_report(cfg, records, out.with_suffix(out.suffix + ".report.json"), time.perf_counter() - started)
+    return records
+
+
+def _bound_check(
+    report: bnd.BoundReport, low: float | None, high: float, columns=("sigma_min_lower", "sigma_max_upper")
+) -> tuple[dict, dict]:
+    """The report's bounds under the given column names, and violation flags
+    for measured extremes beyond them by more than VIOLATION_SLACK.
+
+    With ``low`` None the lower bound is not checked; it is then data only.
+    """
+    flags = {}
+    if low is not None:
+        flags["lower"] = bool(low < report.sigma_min_lower - VIOLATION_SLACK)
+    flags["upper"] = bool(high > report.sigma_max_upper + VIOLATION_SLACK)
+    return dict(zip(columns, (report.sigma_min_lower, report.sigma_max_upper))), flags
 
 
 def figure1_sweep(n_list: Sequence[int], cfg: SweepConfig) -> list[SweepRecord]:
@@ -186,11 +229,8 @@ def figure1_sweep(n_list: Sequence[int], cfg: SweepConfig) -> list[SweepRecord]:
     for n in sizes:
         if n < 3 or n % 2 == 0:
             raise ValueError(f"sizes must be odd integers >= 3, got {n}")
-    started = time.perf_counter()
 
-    def one(i: int) -> SweepRecord:
-        n = sizes[i]
-        t0 = time.perf_counter()
+    def trial(n: int, t: int, rng: np.random.Generator) -> tuple:
         mat = build_figure1(n)
         if n <= cfg.crossover:
             summary = svd_values(mat)
@@ -202,18 +242,10 @@ def figure1_sweep(n_list: Sequence[int], cfg: SweepConfig) -> list[SweepRecord]:
                 raise UnconvergedError(f"size n={n}: {exc}", exc.best_estimate, exc.iterations)
             method = METHOD_ITERATIVE
         kappa = smax / smin if smin > 0 else math.inf
-        return SweepRecord(
-            experiment="figure1",
-            params={"n": n, "method": method},
-            measured={"sigma_min": smin, "sigma_max": smax, "kappa": kappa},
-            bounds={},
-            violations={},
-            wall_time_s=time.perf_counter() - t0,
-        )
+        return {"n": n, "method": method}, {"sigma_min": smin, "sigma_max": smax, "kappa": kappa}, {}, {}, None
 
-    records = _run_indexed(one, len(sizes), cfg)
-    _maybe_write(cfg, records, started)
-    return records
+    # The family is deterministic: one record per size, whatever cfg.trials says.
+    return _sweep("figure1", "figure1", sizes, trial, replace(cfg, trials=1))
 
 
 def freq_stability_sweep(
@@ -227,21 +259,13 @@ def freq_stability_sweep(
     """
     dims = [int(x) for x in m]
     ells = [float(e) for e in ell_grid]
-    if not ells:
-        raise ValueError("ell grid must be nonempty")
     for e in ells:
         if not 0.0 <= e < 0.25:
             raise ValueError(f"perturbation sizes must lie in [0, 1/4), got {e}")
     lattice = rect_lattice_points(dims).astype(int)
     d = len(dims)
-    started = time.perf_counter()
-    jobs = [(gi, t) for gi in range(len(ells)) for t in range(cfg.trials)]
 
-    def one(i: int) -> SweepRecord:
-        gi, trial = jobs[i]
-        ell = ells[gi]
-        t0 = time.perf_counter()
-        rng = _trial_rng(cfg.seed, i)
+    def trial(ell: float, t: int, rng: np.random.Generator) -> tuple:
         if rank_one:
             tables = []
             for mk in dims:
@@ -261,28 +285,27 @@ def freq_stability_sweep(
         mat = build_perturbed_dft_freq(dims, eps)
         summary = svd_values(mat)
         report = bnd.dft_freq_bounds(dims, ell, rank_one)
-        v_low = summary.sigma_min < report.sigma_min_lower - cfg.slack
-        v_up = summary.sigma_max > report.sigma_max_upper + cfg.slack
-        rec = SweepRecord(
-            experiment="freq_stability",
-            params={"m": "x".join(map(str, dims)), "ell": ell, "trial": trial, "rank_one": rank_one},
-            measured={"sigma_min": summary.sigma_min, "sigma_max": summary.sigma_max},
-            bounds={"sigma_min_lower": report.sigma_min_lower, "sigma_max_upper": report.sigma_max_upper},
-            violations={"lower": bool(v_low), "upper": bool(v_up)},
-            wall_time_s=time.perf_counter() - t0,
+        return (
+            {"m": "x".join(map(str, dims)), "ell": ell, "trial": t, "rank_one": rank_one},
+            {"sigma_min": summary.sigma_min, "sigma_max": summary.sigma_max},
+            *_bound_check(report, summary.sigma_min, summary.sigma_max),
+            mat,
         )
-        if rec.violated:
-            rec.artifacts["matrix_dump"] = _dump_violation(mat, cfg, f"freq-{i}")
-        return rec
 
-    records = _run_indexed(one, len(jobs), cfg)
-    _maybe_write(cfg, records, started)
-    return records
+    return _sweep("freq_stability", "freq", ells, trial, cfg)
 
 
-def _jittered_nodes(rng: np.random.Generator, count: int, amplitude: float) -> np.ndarray:
-    offset = rng.random()
-    return np.mod((np.arange(count) + offset + amplitude * rng.uniform(-1, 1, count)) / count, 1.0)
+def _separated_nodes(
+    rng: np.random.Generator, count: int, amplitude: float, accept: Callable[[float], bool], gate: str
+) -> tuple[np.ndarray, float]:
+    """Jittered equispaced nodes and their separation, redrawn until ``accept(separation)``."""
+    for _ in range(200):
+        offset = rng.random()
+        nodes = np.mod((np.arange(count) + offset + amplitude * rng.uniform(-1, 1, count)) / count, 1.0)
+        sep = separation(nodes.tolist())
+        if accept(sep):
+            return nodes, sep
+    raise RuntimeError(f"failed to draw nodes with separation {gate}")
 
 
 def node_stability_sweep(
@@ -295,108 +318,59 @@ def node_stability_sweep(
     applicable, not as violations.
     """
     ells = [float(e) for e in ell_grid]
-    if not ells:
-        raise ValueError("ell grid must be nonempty")
     if n < 2 or L < n:
         raise ValueError(f"need 2 <= n <= L, got n={n}, L={L}")
     target_sep = 2.0 / L
     amplitude = max(0.02, 0.4 * (1.0 - n * target_sep))
-    started = time.perf_counter()
-    jobs = [(gi, t) for gi in range(len(ells)) for t in range(cfg.trials)]
 
-    def one(i: int) -> SweepRecord:
-        gi, trial = jobs[i]
-        ell = ells[gi]
-        t0 = time.perf_counter()
-        rng = _trial_rng(cfg.seed, i)
-        for _ in range(200):
-            base = _jittered_nodes(rng, n, amplitude)
-            if separation(base.tolist()) >= target_sep:
-                break
-        else:
-            raise RuntimeError(f"failed to draw nodes with separation >= {target_sep}")
+    def trial(ell: float, t: int, rng: np.random.Generator) -> tuple:
+        base, _ = _separated_nodes(rng, n, amplitude, lambda sep: sep >= target_sep, f">= {target_sep}")
         v = build_vandermonde(L, base)
         s = np.linalg.svd(v.data, compute_uv=False)
         sigma_1, sigma_r = float(s[0]), float(s[min(L, n) - 1])
         report = bnd.vandermonde_node_bounds(sigma_r, sigma_1, ell)
-        params = {"L": L, "n": n, "ell": ell, "trial": trial, "applicable": report.applicable}
-        if not report.applicable:
-            return SweepRecord(
-                experiment="node_stability",
-                params=params,
-                measured={"sigma_r": sigma_r, "sigma_1": sigma_1, "sigma_r_pert": math.nan, "sigma_1_pert": math.nan},
-                bounds={"sigma_min_lower": math.nan, "sigma_max_upper": math.nan},
-                violations={"lower": False, "upper": False},
-                wall_time_s=time.perf_counter() - t0,
-            )
-        delta = rng.uniform(-ell, ell, n) if ell > 0 else np.zeros(n)
-        pos = int(rng.integers(n))
-        delta[pos] = (1.0 if rng.random() < 0.5 else -1.0) * ell
-        vp = build_vandermonde(L, base + delta / L)
-        sp = np.linalg.svd(vp.data, compute_uv=False)
-        sig1p, sigrp = float(sp[0]), float(sp[min(L, n) - 1])
-        v_low = sigrp < report.sigma_min_lower - cfg.slack
-        v_up = sig1p > report.sigma_max_upper + cfg.slack
-        rec = SweepRecord(
-            experiment="node_stability",
-            params=params,
-            measured={"sigma_r": sigma_r, "sigma_1": sigma_1, "sigma_r_pert": sigrp, "sigma_1_pert": sig1p},
-            bounds={"sigma_min_lower": report.sigma_min_lower, "sigma_max_upper": report.sigma_max_upper},
-            violations={"lower": bool(v_low), "upper": bool(v_up)},
-            wall_time_s=time.perf_counter() - t0,
+        sig1p = sigrp = math.nan
+        vp = None
+        bounds = {"sigma_min_lower": math.nan, "sigma_max_upper": math.nan}
+        violations = {"lower": False, "upper": False}
+        if report.applicable:
+            delta = rng.uniform(-ell, ell, n) if ell > 0 else np.zeros(n)
+            pos = int(rng.integers(n))
+            delta[pos] = (1.0 if rng.random() < 0.5 else -1.0) * ell
+            vp = build_vandermonde(L, base + delta / L)
+            sp = np.linalg.svd(vp.data, compute_uv=False)
+            sig1p, sigrp = float(sp[0]), float(sp[min(L, n) - 1])
+            bounds, violations = _bound_check(report, sigrp, sig1p)
+        return (
+            {"L": L, "n": n, "ell": ell, "trial": t, "applicable": report.applicable},
+            {"sigma_r": sigma_r, "sigma_1": sigma_1, "sigma_r_pert": sigrp, "sigma_1_pert": sig1p},
+            bounds,
+            violations,
+            vp,
         )
-        if rec.violated:
-            rec.artifacts["matrix_dump"] = _dump_violation(vp, cfg, f"node-{i}")
-        return rec
 
-    records = _run_indexed(one, len(jobs), cfg)
-    _maybe_write(cfg, records, started)
-    return records
+    return _sweep("node_stability", "node", ells, trial, cfg)
 
 
 def wellsep_sweep(L_grid: Sequence[int], cfg: SweepConfig) -> list[SweepRecord]:
     """Random well-separated node sets versus the two-sided squared bound."""
     sizes = [int(x) for x in L_grid]
-    if not sizes:
-        raise ValueError("L grid must be nonempty")
-    started = time.perf_counter()
-    jobs = [(gi, t) for gi in range(len(sizes)) for t in range(cfg.trials)]
 
-    def one(i: int) -> SweepRecord:
-        gi, trial = jobs[i]
-        L = sizes[gi]
-        t0 = time.perf_counter()
-        rng = _trial_rng(cfg.seed, i)
+    def trial(L: int, t: int, rng: np.random.Generator) -> tuple:
         n = int(rng.integers(2, max(3, L // 2 + 1)))
-        amplitude = 0.4 * (1.0 - n / L)
-        for _ in range(200):
-            nodes = _jittered_nodes(rng, n, amplitude)
-            sep = separation(nodes.tolist())
-            if sep > 1.0 / L:
-                break
-        else:
-            raise RuntimeError(f"failed to draw nodes with separation > 1/{L}")
+        nodes, sep = _separated_nodes(rng, n, 0.4 * (1.0 - n / L), lambda sep: sep > 1.0 / L, f"> 1/{L}")
         v = build_vandermonde(L, nodes)
         s = np.linalg.svd(v.data, compute_uv=False)
         smin_sq, smax_sq = float(s[-1] ** 2), float(s[0] ** 2)
         report = bnd.wellsep_bounds(L, sep)
-        v_low = smin_sq < report.sigma_min_lower - cfg.slack
-        v_up = smax_sq > report.sigma_max_upper + cfg.slack
-        rec = SweepRecord(
-            experiment="wellsep",
-            params={"L": L, "n": n, "trial": trial, "sep": sep},
-            measured={"sigma_min_sq": smin_sq, "sigma_max_sq": smax_sq},
-            bounds={"lower_sq": report.sigma_min_lower, "upper_sq": report.sigma_max_upper},
-            violations={"lower": bool(v_low), "upper": bool(v_up)},
-            wall_time_s=time.perf_counter() - t0,
+        return (
+            {"L": L, "n": n, "trial": t, "sep": sep},
+            {"sigma_min_sq": smin_sq, "sigma_max_sq": smax_sq},
+            *_bound_check(report, smin_sq, smax_sq, columns=("lower_sq", "upper_sq")),
+            v,
         )
-        if rec.violated:
-            rec.artifacts["matrix_dump"] = _dump_violation(v, cfg, f"wellsep-{i}")
-        return rec
 
-    records = _run_indexed(one, len(jobs), cfg)
-    _maybe_write(cfg, records, started)
-    return records
+    return _sweep("wellsep", "wellsep", sizes, trial, cfg)
 
 
 def _bisect(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -466,8 +440,6 @@ def clump_experiment(
     """
     cfg = cfg or SweepConfig()
     alphas = [float(a) for a in alpha_grid]
-    if not alphas:
-        raise ValueError("alpha grid must be nonempty")
     if L < 6 * N:
         raise ValueError(f"requires L >= 6N, got L={L}, N={N}")
     if lam < 1 or N % lam != 0:
@@ -480,14 +452,8 @@ def clump_experiment(
             raise ValueError(
                 f"clusters cannot be separated by 3*lambda/L with r={r}, alpha={alpha}"
             )
-    started = time.perf_counter()
-    jobs = [(gi, t) for gi in range(len(alphas)) for t in range(cfg.trials)]
 
-    def one(i: int) -> SweepRecord:
-        gi, trial = jobs[i]
-        alpha = alphas[gi]
-        t0 = time.perf_counter()
-        rng = _trial_rng(cfg.seed, i)
+    def trial(alpha: float, t: int, rng: np.random.Generator) -> tuple:
         centers = (np.arange(r) + rng.random() + 0.1 * rng.uniform(-1, 1, r)) / r
         nodes = np.mod(
             np.concatenate([c + alpha * np.arange(lam) for c in centers]), 1.0
@@ -497,29 +463,18 @@ def clump_experiment(
         s = np.linalg.svd(v.data, compute_uv=False)
         sigma_n, sigma_1 = float(s[N - 1]), float(s[0])
         report = bnd.clump_bounds(L, N, alpha, lam, *constants)
-        v_up = sigma_1 > report.sigma_max_upper + cfg.slack
-        rec = SweepRecord(
-            experiment="clump",
-            params={
+        return (
+            {
                 "L": L,
                 "N": N,
                 "alpha": alpha,
                 "lambda": lam,
-                "trial": trial,
+                "trial": t,
                 "hypotheses_ok": dec.hypotheses_ok,
             },
-            measured={"sigma_N": sigma_n, "sigma_1": sigma_1},
-            bounds={
-                "sigma_min_lower": report.sigma_min_lower,
-                "sigma_max_upper": report.sigma_max_upper,
-            },
-            violations={"upper": bool(v_up)},
-            wall_time_s=time.perf_counter() - t0,
+            {"sigma_N": sigma_n, "sigma_1": sigma_1},
+            *_bound_check(report, None, sigma_1),
+            v,
         )
-        if rec.violated:
-            rec.artifacts["matrix_dump"] = _dump_violation(v, cfg, f"clump-{i}")
-        return rec
 
-    records = _run_indexed(one, len(jobs), cfg)
-    _maybe_write(cfg, records, started)
-    return records
+    return _sweep("clump", "clump", alphas, trial, cfg)

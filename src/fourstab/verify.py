@@ -23,7 +23,7 @@ from .experiments import SweepConfig, freq_stability_sweep, wellsep_sweep
 from .oracle import riesz_ratio
 from .spectral import extreme_singular_values, hermitian_eigenvalues, svd_values
 
-__all__ = ["run_all", "CheckResult"]
+__all__ = ["run_all", "CheckResult", "random_spec"]
 
 CheckResult = tuple[str, bool, str]
 
@@ -35,11 +35,25 @@ def _distinct_integer_points(rng: np.random.Generator, count: int, dim: int, spa
     return sorted(pts)
 
 
-def _random_spec(rng: np.random.Generator, dim: int = 1, max_l: int = 6, max_n: int = 6):
-    L = int(rng.integers(2, max_l + 1))
-    N = int(rng.integers(2, max_n + 1))
+def random_spec(
+    rng: np.random.Generator,
+    dim: int = 1,
+    max_l: int = 6,
+    max_n: int = 6,
+    aspect: str | None = None,
+    span: int = 5,
+) -> ExponentialSystemSpec:
+    """Random spec: L offsets in [0, 1)^dim and N distinct integer vectors in [-span, span]^dim.
+
+    ``aspect`` "tall" redraws (L, N) until L >= N, "wide" until L <= N.
+    """
+    while True:
+        L = int(rng.integers(2, max_l + 1))
+        N = int(rng.integers(2, max_n + 1))
+        if not (aspect == "tall" and L < N or aspect == "wide" and L > N):
+            break
     deltas = NodeSet(rng.random((L, dim)))
-    return ExponentialSystemSpec(deltas, FrequencySet(_distinct_integer_points(rng, N, dim, 4)))
+    return ExponentialSystemSpec(deltas, FrequencySet(_distinct_integer_points(rng, N, dim, span)))
 
 
 def check_dft_orthogonality() -> CheckResult:
@@ -103,7 +117,7 @@ def check_gram_identity() -> CheckResult:
     rng = np.random.default_rng(23)
     worst = 0.0
     for _ in range(20):
-        spec = _random_spec(rng, dim=int(rng.integers(1, 3)))
+        spec = random_spec(rng, dim=int(rng.integers(1, 3)), span=4)
         gamma = build_gamma(spec.deltas, spec.p)
         direct = gram_matrix(spec)
         worst = max(worst, float(np.max(np.abs(direct.data - gamma.data.conj().T @ gamma.data))))
@@ -134,7 +148,7 @@ def check_gram_eigen_consistency() -> CheckResult:
     rng = np.random.default_rng(37)
     worst = 0.0
     for _ in range(10):
-        spec = _random_spec(rng)
+        spec = random_spec(rng, span=4)
         if spec.num_deltas < spec.num_p:
             continue
         gamma = build_gamma(spec.deltas, spec.p)
@@ -145,27 +159,18 @@ def check_gram_eigen_consistency() -> CheckResult:
     return ("gram_eigen_consistency", worst <= 1e-9, f"max rel deviation {worst:.3e}")
 
 
-def check_freq_sweep(seed: int) -> CheckResult:
-    cfg = SweepConfig(seed=seed, trials=20)
-    records = freq_stability_sweep((8,), (0.1,), rank_one=False, cfg=cfg)
+def check_no_violations(name: str, records) -> CheckResult:
     bad = sum(1 for r in records if r.violated)
-    return ("freq_stability_sweep", bad == 0, f"{bad} violations in {len(records)} trials")
-
-
-def check_wellsep_sweep(seed: int) -> CheckResult:
-    cfg = SweepConfig(seed=seed, trials=20)
-    records = wellsep_sweep((16,), cfg)
-    bad = sum(1 for r in records if r.violated)
-    return ("wellsep_sweep", bad == 0, f"{bad} violations in {len(records)} trials")
+    return (name, bad == 0, f"{bad} violations in {len(records)} trials")
 
 
 def check_riesz_sandwich() -> CheckResult:
     rng = np.random.default_rng(41)
     bad = 0
     for _ in range(10):
-        spec = _random_spec(rng)
+        spec = random_spec(rng, span=4)
         while spec.num_deltas > spec.num_p:
-            spec = _random_spec(rng)
+            spec = random_spec(rng, span=4)
         gamma = build_gamma(spec.deltas, spec.p)
         s = svd_values(gamma)
         lo, hi = s.singular_values[min(spec.num_deltas, spec.num_p) - 1] ** 2, s.sigma_max**2
@@ -180,6 +185,7 @@ def check_riesz_sandwich() -> CheckResult:
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:
+    cfg = SweepConfig(seed=seed, trials=20)
     return [
         check_dft_orthogonality(),
         check_unimodularity(),
@@ -189,7 +195,7 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         check_gram_identity(),
         check_method_agreement(),
         check_gram_eigen_consistency(),
-        check_freq_sweep(seed),
-        check_wellsep_sweep(seed),
+        check_no_violations("freq_stability_sweep", freq_stability_sweep((8,), (0.1,), rank_one=False, cfg=cfg)),
+        check_no_violations("wellsep_sweep", wellsep_sweep((16,), cfg)),
         check_riesz_sandwich(),
     ]

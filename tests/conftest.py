@@ -1,25 +1,6 @@
 import numpy as np
 import pytest
 
-from fourstab import ExponentialSystemSpec, FrequencySet, NodeSet
-
-
-def random_spec(rng, dim=1, max_l=6, max_n=6, aspect=None):
-    """Random exponential-system spec; aspect 'tall' forces L >= N, 'wide' L <= N."""
-    while True:
-        L = int(rng.integers(2, max_l + 1))
-        N = int(rng.integers(2, max_n + 1))
-        if aspect == "tall" and L < N:
-            continue
-        if aspect == "wide" and L > N:
-            continue
-        break
-    deltas = NodeSet(rng.random((L, dim)))
-    pts = set()
-    while len(pts) < N:
-        pts.add(tuple(int(x) for x in rng.integers(-5, 6, dim)))
-    return ExponentialSystemSpec(deltas, FrequencySet(sorted(pts)))
-
 
 @pytest.fixture
 def rng():

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 
-from conftest import random_spec
 from fourstab.bounds import instability_spectrum, kadec_C
 from fourstab.core_matrix import (
     FrequencySet,
@@ -42,6 +41,7 @@ from fourstab.spectral import (
     hermitian_eigenvalues,
     svd_values,
 )
+from fourstab.verify import random_spec
 
 SLACK = 1e-9
 

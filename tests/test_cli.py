@@ -10,6 +10,14 @@ from fourstab.core_matrix import ComplexDense, FrequencySet, build_dft
 from fourstab.spectral import svd_values
 
 
+def _reject_constant(token):
+    raise AssertionError(f"non-standard JSON constant {token}")
+
+
+def strict_loads(text):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_cli(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
@@ -45,6 +53,11 @@ class TestSpectralCommand:
         assert code == 0
         direct = svd_values(build_dft((3,))).to_json()
         assert out.strip() == direct
+
+    def test_singular_matrix_is_strict_json(self, capsys):
+        code, out, _ = run_cli(capsys, "spectral", "--deltas", "0,1/2", "--p", "0,2")
+        assert code == 0
+        assert strict_loads(out)["condition"] is None
 
     def test_no_source_is_failure(self, capsys):
         code, out, err = run_cli(capsys, "spectral")
@@ -220,6 +233,34 @@ class TestLoadConfig:
         assert "command" in err
 
 
+    @pytest.mark.parametrize(
+        "doc, field_name",
+        [
+            ({"experiment": "figure1", "n_list": "abc"}, "n_list"),
+            ({"experiment": "figure1", "n_list": [3], "bogus": 1}, "bogus"),
+            ({"experiment": "figure1", "n_list": [3], "trials": True}, "trials"),
+            ({"experiment": "wellsep", "L_grid": [16], "seed": -1}, "seed"),
+            ({"experiment": "wellsep", "L_grid": [16], "crossover": 5}, "crossover"),
+            ({"experiment": "freq_stability", "m": [4], "ell_grid": [0.1], "rank_one": "no"}, "rank_one"),
+            (
+                {"experiment": "clump", "L": 96, "n": 8, "alpha_grid": [1e-4], "lambda": 2, "constants": [1, 2]},
+                "constants",
+            ),
+            ({"experiment": "figure1", "n_list": [3], "output": 5}, "output"),
+        ],
+    )
+    def test_mistyped_or_unknown_field_exits_two(self, capsys, tmp_path, doc, field_name):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": "experiment", **doc}))
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert err.value.field_name == field_name
+        code, out, err_text = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 2
+        assert repr(field_name) in err_text
+        assert out == ""
+
+
 class TestExperimentCommand:
     def test_figure1_from_config(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -293,6 +334,33 @@ class TestExperimentCommand:
         )
         assert out_a.exists() and out_b.exists()
         assert len(out_b.read_text().splitlines()) == len(out_a.read_text().splitlines()) + 2
+
+
+    def test_node_draw_failure_exits_one(self, capsys, tmp_path):
+        # 8 nodes cannot be drawn 2/16 apart with the sweep's jitter
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            json.dumps({"command": "experiment", "experiment": "node_stability", "L": 16, "n": 8, "ell_grid": [0.2]})
+        )
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 1
+        assert strict_loads(err)["error"] == "RuntimeError"
+
+    def test_non_applicable_trials_are_strict_json(self, capsys, tmp_path):
+        out_file = tmp_path / "node.csv"
+        doc = {"command": "experiment", "experiment": "node_stability", "L": 64, "n": 16, "ell_grid": [0.24]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 0
+        rec = strict_loads(out)["records"][0]
+        assert rec["params"]["applicable"] is False
+        assert rec["measured"]["sigma_r_pert"] is None
+        path.write_text(json.dumps({**doc, "output": str(out_file)}))
+        run_cli(capsys, "experiment", "--config", str(path))
+        report = strict_loads(out_file.with_suffix(".csv.report.json").read_text())
+        assert report["records"][0]["bounds"]["sigma_min_lower"] is None
+        assert ",nan,nan," in out_file.read_text()
 
 
 class TestVerifyCommand:

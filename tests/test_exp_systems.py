@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spec
 from fourstab.core_matrix import FrequencySet, NodeSet, PerturbationMap, build_gamma, build_vandermonde
 from fourstab.exp_systems import (
     ExponentialSystemSpec,
@@ -19,6 +18,7 @@ from fourstab.exp_systems import (
     wrap_distance,
 )
 from fourstab.spectral import svd_values
+from fourstab.verify import random_spec
 
 
 class TestWrapDistance:

@@ -1,9 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fourstab import experiments
+from fourstab.core_matrix import ComplexDense
 from fourstab.experiments import (
     SweepConfig,
     benchmark_comparison,
@@ -165,6 +168,7 @@ class TestDeterminism:
         write_report(cfg, recs, out, wall_time_s=0.1)
         doc = json.loads(out.read_text())
         assert set(doc) == {"config", "records", "violations", "wall_time_s"}
+        assert set(doc["config"]) == {"seed", "trials", "crossover", "output_path", "workers"}
         assert doc["violations"] == 0
 
 
@@ -175,3 +179,14 @@ class TestOutputFiles:
         wellsep_sweep([16], cfg)
         assert out.exists()
         assert out.with_suffix(".csv.report.json").exists()
+
+    def test_violation_dumps_matrix(self, tmp_path, monkeypatch):
+        # a slack of -1e9 makes every checked bound count as violated
+        monkeypatch.setattr(experiments, "VIOLATION_SLACK", -1e9)
+        out = tmp_path / "sweep.csv"
+        recs = wellsep_sweep([16], SweepConfig(seed=0, trials=2, output_path=str(out)))
+        assert all(r.violated for r in recs)
+        dumps = [Path(r.artifacts["matrix_dump"]) for r in recs]
+        assert [d.name for d in dumps] == ["sweep.csv.violation-wellsep-0.json", "sweep.csv.violation-wellsep-1.json"]
+        assert ComplexDense.from_json(dumps[1].read_text()).rows == 16
+        assert json.loads(out.with_suffix(".csv.report.json").read_text())["violations"] == 2

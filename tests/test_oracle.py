@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_spec
 from fourstab.core_matrix import FrequencySet, NodeSet, build_gamma
 from fourstab.exp_systems import ExponentialSystemSpec, gram_matrix
 from fourstab.oracle import (
@@ -15,6 +14,7 @@ from fourstab.oracle import (
     riesz_ratio,
 )
 from fourstab.spectral import svd_values
+from fourstab.verify import random_spec
 
 
 def tight_spec():
