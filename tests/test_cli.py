@@ -232,7 +232,6 @@ class TestLoadConfig:
         assert code == 2
         assert "command" in err
 
-
     @pytest.mark.parametrize(
         "doc, field_name",
         [
