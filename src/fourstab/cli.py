@@ -147,6 +147,13 @@ _EXPERIMENTS = {
 }
 
 
+def _checked(key: str, value, kind):
+    description, check = kind
+    if not check(value):
+        raise ConfigError(key, f"must be {description}, got {value!r}")
+    return value
+
+
 def load_config(path: str) -> CliConfig:
     """Load and validate an experiment config file with defaults applied.
 
@@ -182,10 +189,7 @@ def load_config(path: str) -> CliConfig:
             continue
         if key not in types:
             raise ConfigError(key, f"unknown field for experiment {name!r} (accepted: {sorted(types)})")
-        description, check = types[key]
-        if not check(value):
-            raise ConfigError(key, f"must be {description}, got {value!r}")
-        values[key] = value
+        values[key] = _checked(key, value, types[key])
     return CliConfig(
         command=command,
         experiment=name,
@@ -364,13 +368,13 @@ def _cmd_verify(args) -> int:
 def _cmd_experiment(args) -> int:
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.seed = _checked("seed", args.seed, _COMMON_FIELDS["seed"][0])
+        if args.trials is not None:
+            cfg.params["trials"] = _checked("trials", args.trials, _COMMON_FIELDS["trials"][0])
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        cfg.params["trials"] = args.trials
     if args.out is not None:
         cfg.output = args.out
     if args.format is not None:

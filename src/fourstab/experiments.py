@@ -195,8 +195,8 @@ def _sweep(
             rec.artifacts["matrix_dump"] = str(dump)
         return rec
 
-    workers = cfg.effective_workers()
-    if workers <= 1 or len(grid) <= 1:
+    workers = min(cfg.effective_workers(), len(grid), os.cpu_count() or 1)
+    if workers <= 1:
         records = [one(i) for i in range(len(grid))]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -23,8 +23,12 @@ cross terms
         = (sum_k e^{2 pi i (delta_j - delta_i).p_k}) * prod_t J(nu_t),
 
 with nu = (n - m) + (delta_j - delta_i) and J(nu) the unit-interval
-integral of e^{2 pi i nu y}.  No truncation is involved, so the Riesz
-ratio is exact up to roundoff.
+integral of e^{2 pi i nu y}.  The lattice sum depends only on the offset
+pair (j, i), so it is evaluated once as a table over the offsets in use
+(at most L x L); the K x K cross matrix is that table indexed by the
+offsets of the K coefficients times J factors broadcast over all pairs.
+G itself is never formed.  No truncation is involved, so the Riesz ratio
+is exact up to roundoff.
 """
 
 from __future__ import annotations
@@ -102,12 +106,6 @@ class FiniteSequence:
         return float(np.sum(np.abs(self.values) ** 2))
 
 
-def _axis_tail_sum(offset: float, trunc: int) -> float:
-    """S_T(offset) = sum over |n| <= T of sinc^2(n + offset)."""
-    n = np.arange(-trunc, trunc + 1, dtype=float)
-    return float(np.sum(np.sinc(n + offset) ** 2))
-
-
 def frame_ratio(witness: CubeWitness, trunc: int) -> float:
     """Truncated analysis sum of the witness divided by its squared norm.
 
@@ -123,22 +121,24 @@ def frame_ratio(witness: CubeWitness, trunc: int) -> float:
     deltas = spec.deltas.points
     phases = deltas @ spec.p.points.T
     g = unit_entries(phases) @ np.conj(witness.values)
-    total = 0.0
-    for j in range(spec.num_deltas):
-        factor = 1.0
-        for t in range(spec.dim):
-            factor *= _axis_tail_sum(deltas[j, t], trunc)
-        total += float(np.abs(g[j]) ** 2) * factor
-    return total / norm_sq
+    # S_T(b) for every offset coordinate b at once.  At an integer b only
+    # sinc(0) = 1 survives; otherwise sinc^2(n + b) = sin^2(pi b) / (pi (n + b))^2,
+    # with sin(pi b) taken at min(b, 1 - b) to stay accurate for b near 1.
+    whole = deltas == np.round(deltas)
+    n = np.arange(-trunc, trunc + 1, dtype=float)
+    inv_sq = np.sum(1.0 / (n + np.where(whole, 0.5, deltas)[..., None]) ** 2, axis=-1)
+    sin_sq = (np.sin(np.pi * np.minimum(deltas, 1.0 - deltas)) / np.pi) ** 2
+    tails = np.where(whole, 1.0, sin_sq * inv_sq)
+    return float(np.sum(np.abs(g) ** 2 * np.prod(tails, axis=1))) / norm_sq
 
 
-def _unit_interval_integral(nu: float) -> complex:
-    """J(nu) = integral over [0,1] of exp(2 pi i nu y); exactly 0 at integers != 0."""
-    if nu == 0.0:
-        return 1.0 + 0.0j
-    ang = 2.0 * math.pi * (nu % 1.0)
-    numer = complex(math.cos(ang) - 1.0, math.sin(ang))
-    return numer / (2.0j * math.pi * nu)
+def _unit_interval_integrals(nu: np.ndarray) -> np.ndarray:
+    """Elementwise J(nu); 1 at nu = 0 and, via the angle of nu mod 1, 0 at other integers."""
+    ang = 2.0 * np.pi * np.mod(nu, 1.0)
+    zero = nu == 0.0
+    scale = 2.0 * np.pi * np.where(zero, 1.0, nu)
+    out = np.sin(ang) / scale + 1j * ((1.0 - np.cos(ang)) / scale)
+    return np.where(zero, 1.0 + 0.0j, out)
 
 
 def _normalize_coeffs(
@@ -162,25 +162,23 @@ def _normalize_coeffs(
     return keys, arr
 
 
-def _synthesis_norm_sq(
-    spec: ExponentialSystemSpec, keys: list[tuple[int, tuple[int, ...]]], a: np.ndarray
-) -> float:
-    """Exact ||sum a_{j,n} e^{2 pi i (n + delta_j).x}||^2 over T(P)."""
-    deltas = spec.deltas.points
-    pts = spec.p.points
-    count = len(keys)
-    cross = np.empty((count, count), dtype=np.complex128)
-    for ai, (j, n) in enumerate(keys):
-        for bi, (i, mvec) in enumerate(keys):
-            phase = np.dot(deltas[j] - deltas[i], pts.T)
-            lattice_sum = np.sum(unit_entries(phase))
-            prod = complex(lattice_sum)
-            for t in range(spec.dim):
-                nu = (n[t] - mvec[t]) + (deltas[j, t] - deltas[i, t])
-                prod *= _unit_interval_integral(nu)
-            cross[ai, bi] = prod
-    value = np.conj(a) @ (a @ cross)
-    return float(np.real(value))
+def _cross_terms(spec: ExponentialSystemSpec, keys: list[tuple[int, tuple[int, ...]]]) -> np.ndarray:
+    """K x K matrix of <e_{n+delta_j}, e_{m+delta_i}>_{L2(T)} over the keys (j, n)."""
+    offsets = np.array([j for j, _ in keys])
+    ints = np.array([n for _, n in keys], dtype=float)
+    used, col = np.unique(offsets, return_inverse=True)
+    deltas = spec.deltas.points[used]
+    diff = deltas[:, None, :] - deltas[None, :, :]
+    # Lattice sums over the cubes depend only on the offset pair: one table.
+    phase = np.zeros(diff.shape[:2] + (spec.num_p,))
+    for t in range(spec.dim):
+        phase += diff[:, :, t, None] * spec.p.points[None, None, :, t]
+    table = np.sum(unit_entries(phase), axis=2)
+    pair = (col[:, None], col[None, :])
+    cross = table[pair]
+    for t in range(spec.dim):
+        cross *= _unit_interval_integrals((ints[:, None, t] - ints[None, :, t]) + diff[pair + (t,)])
+    return cross
 
 
 def _synthesis_norm_sq_quadrature(
@@ -221,7 +219,7 @@ def riesz_ratio(
     if grid < 64:
         raise ValueError(f"quadrature grid must be >= 64 points per axis, got {grid}")
     keys, a = _normalize_coeffs(spec, coeffs)
-    norm_sq = _synthesis_norm_sq(spec, keys, a)
+    norm_sq = float(np.real(np.conj(a) @ (a @ _cross_terms(spec, keys))))
     coeff_sq = float(np.sum(np.abs(a) ** 2))
     ratio = norm_sq / coeff_sq
     if cross_check:

@@ -334,6 +334,15 @@ class TestExperimentCommand:
         assert out_a.exists() and out_b.exists()
         assert len(out_b.read_text().splitlines()) == len(out_a.read_text().splitlines()) + 2
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--seed", "-1")])
+    def test_bad_override_exits_two(self, capsys, tmp_path, flag, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": "experiment", "experiment": "wellsep", "L_grid": [16]}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path), flag, value)
+        assert code == 2
+        assert repr(flag[2:]) in err
+        assert out == ""
+
 
     def test_node_draw_failure_exits_one(self, capsys, tmp_path):
         # 8 nodes cannot be drawn 2/16 apart with the sweep's jitter

@@ -1,13 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fourstab.core_matrix import FrequencySet, NodeSet, build_gamma
+from fourstab.core_matrix import FrequencySet, NodeSet, build_gamma, unit_entries
 from fourstab.exp_systems import ExponentialSystemSpec, gram_matrix
 from fourstab.oracle import (
     CubeWitness,
     FiniteSequence,
+    _cross_terms,
+    _normalize_coeffs,
     extremal_witness,
     frame_ratio,
     hilbert_shift,
@@ -25,6 +30,32 @@ def frame_spec():
     return ExponentialSystemSpec(NodeSet([0.0, 0.5, 0.25]), FrequencySet([0, 1]))
 
 
+def loop_cross_terms(spec, keys):
+    """Reference cross matrix, one pair at a time: a lattice sum over the
+    cubes and d scalar unit-interval integrals J(nu) per pair."""
+
+    def unit_integral(nu):
+        if nu == 0.0:
+            return 1.0 + 0.0j
+        ang = 2.0 * math.pi * (nu % 1.0)
+        return complex(math.cos(ang) - 1.0, math.sin(ang)) / (2.0j * math.pi * nu)
+
+    deltas, pts = spec.deltas.points, spec.p.points
+    cross = np.empty((len(keys), len(keys)), dtype=np.complex128)
+    for a, (j, n) in enumerate(keys):
+        for b, (i, m) in enumerate(keys):
+            value = complex(np.sum(unit_entries(np.dot(deltas[j] - deltas[i], pts.T))))
+            for t in range(spec.dim):
+                value *= unit_integral((n[t] - m[t]) + (deltas[j, t] - deltas[i, t]))
+            cross[a, b] = value
+    return cross
+
+
+def tail_sum(offset, trunc):
+    """Reference S_T(offset) = sum over |n| <= T of sinc^2(n + offset)."""
+    return float(np.sum(np.sinc(np.arange(-trunc, trunc + 1) + offset) ** 2))
+
+
 class TestFrameRatio:
     def test_orthogonal_limit_from_below(self):
         w = CubeWitness(tight_spec(), np.array([1.0, 0.0]))
@@ -38,6 +69,30 @@ class TestFrameRatio:
         w = CubeWitness(spec, rng.standard_normal(spec.num_p) + 1j * rng.standard_normal(spec.num_p))
         ratios = [frame_ratio(w, t) for t in (1, 5, 25, 125)]
         assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
+
+    def test_tail_sums_match_sinc_reference(self):
+        # offsets at 0, near 0, at 1/2 and near 1, on both axes
+        spec = ExponentialSystemSpec(
+            NodeSet([[0.0, 0.5], [1e-9, 0.0], [0.5, 1 - 1e-9], [0.75, 0.3]]), FrequencySet([[0, 0], [1, 2]])
+        )
+        w = CubeWitness(spec, np.array([1.0, 0.5 - 2.0j]))
+        g = unit_entries(spec.deltas.points @ spec.p.points.T) @ np.conj(w.values)
+        ratios = []
+        for trunc in (1, 2, 5, 25, 125, 1000):
+            factors = [tail_sum(b, trunc) for b in spec.deltas.points.ravel()]
+            expected = np.sum(np.abs(g) ** 2 * np.prod(np.reshape(factors, (4, 2)), axis=1)) / w.norm_sq
+            ratios.append(frame_ratio(w, trunc))
+            assert ratios[-1] == pytest.approx(expected, rel=1e-13)
+        assert all(b >= a for a, b in zip(ratios, ratios[1:]))
+
+    def test_zero_offset_tail_is_exactly_one(self):
+        # one offset at exactly 0: S_T(0) = 1, so the ratio is |sum phi|^2 / |phi|^2 for every T
+        for spec in (
+            ExponentialSystemSpec(NodeSet([0.0]), FrequencySet([0, 3])),
+            ExponentialSystemSpec(NodeSet([[0.0, 0.0]]), FrequencySet([[0, 0], [2, -1]])),
+        ):
+            w = CubeWitness(spec, np.array([1.0, 1.0]))
+            assert [frame_ratio(w, t) for t in (1, 10, 10_000)] == [2.0, 2.0, 2.0]
 
     def test_max_witness_attains_top_constant(self):
         spec = frame_spec()
@@ -124,6 +179,22 @@ class TestRieszRatio:
         value = riesz_ratio(spec, coeffs, grid=64, cross_check=True)
         assert value > 0
 
+    @pytest.mark.parametrize("dim, reach", [(1, 3), (2, 2), (3, 1)])
+    def test_cross_terms_match_loop(self, rng, dim, reach):
+        spec = random_spec(rng, dim=dim, max_l=4, max_n=4)
+        window = itertools.product(range(-reach, reach + 1), repeat=dim)
+        # every offset with every n in the window: pairs with one offset and
+        # n != m have nu at a nonzero integer, and the diagonal has nu = 0
+        coeffs = {(j, n): 1.0 for n in window for j in range(spec.num_deltas)}
+        keys, _ = _normalize_coeffs(spec, coeffs)
+        cross = _cross_terms(spec, keys)
+        ref = loop_cross_terms(spec, keys)
+        assert np.max(np.abs(cross - ref)) <= 1e-13 * np.max(np.abs(ref))
+        offsets = np.array([j for j, _ in keys])
+        same = (offsets[:, None] == offsets[None, :]) & ~np.eye(len(keys), dtype=bool)
+        assert np.all(cross[same] == 0.0)
+        assert np.all(np.diag(cross) == spec.num_p)
+
     def test_rejects_empty_and_zero(self):
         spec = tight_spec()
         with pytest.raises(ValueError):
@@ -138,6 +209,26 @@ class TestRieszRatio:
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError, match="range"):
             riesz_ratio(tight_spec(), {(5, 0): 1.0})
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    size=st.integers(1, 5),
+    reach=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_riesz_ratio_within_square_spectrum(dim, size, reach, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.array(list(itertools.product(range(-4, 5), repeat=dim)))
+    spec = ExponentialSystemSpec(
+        NodeSet(rng.random((size, dim))), FrequencySet(grid[rng.choice(len(grid), size, replace=False)])
+    )
+    s = svd_values(build_gamma(spec.deltas, spec.p))
+    lo, hi = s.sigma_min**2, s.sigma_max**2
+    window = list(itertools.product(range(-reach, reach + 1), repeat=dim))
+    coeffs = {(j, n): complex(*rng.standard_normal(2)) for j in range(size) for n in window}
+    assert lo - 1e-9 * hi <= riesz_ratio(spec, coeffs) <= hi + 1e-9 * hi
 
 
 class TestHilbertShift:
