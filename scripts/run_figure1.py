@@ -2,8 +2,9 @@
 """Condition-number sweep of the sign-perturbed DFT family.
 
 Writes one CSV row (n, kappa, ...) per odd size.  The default grid stops at
-2001; pass --n-max to push further (dense decompositions grow like n^3, the
-iterative path takes over past the crossover).
+2001; pass --n-max to push further.  Sizes up to --crossover get a dense SVD;
+past it the sweep runs Lanczos on a matrix-free 3-FFT operator with O(n)
+memory (about 2 s at n = 32001 on a 2-vCPU machine).
 """
 
 import argparse

@@ -18,6 +18,7 @@ from .core_matrix import (
     build_instability_submatrix,
     build_perturbed_dft_freq,
     build_vandermonde,
+    figure1_operator,
     select_columns,
 )
 from .spectral import (

@@ -36,6 +36,7 @@ __all__ = [
     "build_perturbed_dft_freq",
     "build_instability_submatrix",
     "build_figure1",
+    "figure1_operator",
     "select_columns",
     "rect_lattice_points",
 ]
@@ -51,6 +52,16 @@ def _as_point_array(points, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what}: points must be finite")
     return arr
+
+
+def torus_canonical(x) -> np.ndarray:
+    """x modulo 1 as floats in [0, 1).
+
+    ``np.mod`` rounds a tiny negative input up to exactly 1.0, the same
+    torus point as 0.0; that value is wrapped back to 0.0.
+    """
+    frac = np.mod(np.asarray(x, dtype=float), 1.0)
+    return np.where(frac < 1.0, frac, 0.0)
 
 
 def _require_distinct(arr: np.ndarray, what: str) -> None:
@@ -179,7 +190,7 @@ class NodeSet:
     points: np.ndarray
 
     def __post_init__(self):
-        arr = np.mod(_as_point_array(self.points, "NodeSet"), 1.0)
+        arr = torus_canonical(_as_point_array(self.points, "NodeSet"))
         _require_distinct(arr, "NodeSet (mod 1)")
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
@@ -301,7 +312,7 @@ def build_vandermonde(L: int, nodes: Sequence[float]) -> ComplexDense:
     """
     if L < 1:
         raise ValueError(f"row count must be >= 1, got {L}")
-    xs = np.mod(np.asarray(list(nodes), dtype=float), 1.0)
+    xs = torus_canonical(list(nodes))
     if xs.ndim != 1 or xs.size < 1:
         raise ValueError("nodes must be a nonempty list of reals")
     notes: tuple[str, ...] = ()
@@ -367,21 +378,54 @@ def build_instability_submatrix(n: int) -> ComplexDense:
     return _fourier_from_arrays(j, j / float(n + 1))
 
 
-def build_figure1(n: int) -> ComplexDense:
-    """Periodically sign-perturbed DFT: entry (j,k) = exp(2*pi*i*j*(k+e(k))/n).
+def _figure1_shifts(n: int) -> np.ndarray:
+    """Perturbation table e(k), k = 0..n-1, of the figure-1 family (n odd).
 
-    For n = 2m+1 the perturbation table over k = 0..n-1 is e(0) = 0,
-    e(k) = -1/4 for 1 <= k <= m and e(k) = +1/4 for m+1 <= k <= n-1 (the
-    n-periodic extension of -sign(k)/4 on {-m..m}).
+    For n = 2m+1: e(0) = 0, e(k) = -1/4 for 1 <= k <= m and e(k) = +1/4 for
+    m+1 <= k <= n-1 (the n-periodic extension of -sign(k)/4 on {-m..m}).
     """
     _require_odd(n)
     mhalf = (n - 1) // 2
     eps = np.zeros(n)
     eps[1 : mhalf + 1] = -0.25
     eps[mhalf + 1 :] = 0.25
+    return eps
+
+
+def build_figure1(n: int) -> ComplexDense:
+    """Periodically sign-perturbed DFT: entry (j,k) = exp(2*pi*i*j*(k+e(k))/n).
+
+    The table e(k) is given by ``_figure1_shifts``.
+    """
+    eps = _figure1_shifts(n)
     j = np.arange(n, dtype=float).reshape(-1, 1)
     cols = ((np.arange(n) + eps) / n).reshape(-1, 1)
     return _fourier_from_arrays(j, cols)
+
+
+def figure1_operator(n: int):
+    """``build_figure1(n)`` as a matrix-free ``scipy.sparse.linalg.LinearOperator``.
+
+    Column k of the matrix is D_c W e_k with c = e(k), where W is the
+    unnormalized DFT and D_c = diag(exp(2*pi*i*j*c/n)).  So F = sum_c D_c W P_c
+    over c in {0, -1/4, +1/4}, with P_c the mask of the columns where
+    e(k) = c: a matvec is three FFTs and O(n) memory, never an n x n array.
+    """
+    from scipy.sparse.linalg import LinearOperator
+
+    eps = _figure1_shifts(n)
+    j = np.arange(n, dtype=float)
+    parts = [(eps == c, unit_entries(j * c / n)) for c in (0.0, -0.25, 0.25)]
+
+    def matvec(x):
+        x = np.ravel(x)
+        return sum(d * np.fft.ifft(np.where(mask, x, 0.0)) for mask, d in parts) * n
+
+    def rmatvec(y):
+        y = np.ravel(y)
+        return sum(np.where(mask, np.fft.fft(d.conj() * y), 0.0) for mask, d in parts)
+
+    return LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec, dtype=np.complex128)
 
 
 def select_columns(a: ComplexDense, idx: Sequence[int]) -> ComplexDense:

@@ -25,6 +25,7 @@ from .core_matrix import (
     PerturbationMap,
     build_gamma,
     rect_lattice_points,
+    torus_canonical,
     unit_entries,
 )
 from .spectral import default_rank_tol
@@ -278,7 +279,7 @@ def clump_decompose(u: Sequence[float], L: int, lambda_cap: int) -> ClumpDecompo
         raise ValueError(f"row count must be >= 1, got {L}")
     if lambda_cap < 1:
         raise ValueError(f"cluster size cap must be >= 1, got {lambda_cap}")
-    xs = np.sort(np.mod(np.asarray(list(u), dtype=float), 1.0))
+    xs = np.sort(torus_canonical(list(u)))
     n = xs.size
     if n < 1:
         raise ValueError("need at least one node")

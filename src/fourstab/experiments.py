@@ -26,6 +26,7 @@ from .core_matrix import (
     build_figure1,
     build_perturbed_dft_freq,
     build_vandermonde,
+    figure1_operator,
     rect_lattice_points,
 )
 from .exp_systems import clump_decompose, separation
@@ -224,20 +225,23 @@ def _bound_check(
 
 
 def figure1_sweep(n_list: Sequence[int], cfg: SweepConfig) -> list[SweepRecord]:
-    """Condition number of the sign-perturbed DFT family over odd sizes."""
+    """Condition number of the sign-perturbed DFT family over odd sizes.
+
+    Sizes up to ``cfg.crossover`` get a dense SVD of ``build_figure1(n)``;
+    larger ones get Lanczos extremes of the matrix-free ``figure1_operator(n)``.
+    """
     sizes = [int(n) for n in n_list]
     for n in sizes:
         if n < 3 or n % 2 == 0:
             raise ValueError(f"sizes must be odd integers >= 3, got {n}")
 
     def trial(n: int, t: int, rng: np.random.Generator) -> tuple:
-        mat = build_figure1(n)
         if n <= cfg.crossover:
-            summary = svd_values(mat)
+            summary = svd_values(build_figure1(n))
             smax, smin, method = summary.sigma_max, summary.sigma_min, METHOD_FULL
         else:
             try:
-                smax, smin = extreme_singular_values(mat)
+                smax, smin = extreme_singular_values(figure1_operator(n))
             except UnconvergedError as exc:
                 raise UnconvergedError(f"size n={n}: {exc}", exc.best_estimate, exc.iterations)
             method = METHOD_ITERATIVE

@@ -4,6 +4,10 @@ Two independent routes are provided and cross-validated in the test suite:
 ``svd_values`` goes through a full dense decomposition, while
 ``extreme_singular_values`` runs power iteration (largest) and inverse
 iteration on the Gram matrix (smallest) with deterministic start vectors.
+Given a matrix-free ``scipy.sparse.linalg.LinearOperator`` (such as
+``core_matrix.figure1_operator``), ``extreme_singular_values`` instead runs
+Lanczos (ARPACK ``eigsh``) on the operator Gram product A^H A, which needs
+only matvecs and O(n) memory.
 """
 
 from __future__ import annotations
@@ -168,16 +172,52 @@ def _inverse_smallest(gram: np.ndarray, lam_max: float, tol: float, max_iter: in
     raise UnconvergedError("inverse iteration (sigma_min)", math.sqrt(max(mu, 0.0)), max_iter)
 
 
+def _is_operator(a) -> bool:
+    """True for a ``scipy.sparse.linalg.LinearOperator``; imports scipy's
+    sparse package only for inputs that are not already dense."""
+    if isinstance(a, (ComplexDense, np.ndarray)):
+        return False
+    from scipy.sparse.linalg import LinearOperator
+
+    return isinstance(a, LinearOperator)
+
+
+def _operator_extremes(op, tol: float, max_iter: int) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of a LinearOperator by Lanczos on its smaller Gram product."""
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    rows, cols = op.shape
+    gram = op.H @ op if rows >= cols else op @ op.H
+    v0 = _start_block(gram.shape[0])[:, 0]
+    extremes = []
+    for which, what in (("LA", "Lanczos (sigma_max)"), ("SA", "Lanczos (sigma_min)")):
+        try:
+            lam = eigsh(gram, k=1, which=which, v0=v0, tol=tol, maxiter=max_iter,
+                        return_eigenvectors=False)[0]
+        except ArpackNoConvergence as exc:
+            ritz = exc.eigenvalues
+            best = ritz[0] if len(ritz) else np.vdot(v0, gram.matvec(v0))
+            raise UnconvergedError(what, math.sqrt(max(float(np.real(best)), 0.0)), max_iter) from exc
+        extremes.append(math.sqrt(max(float(lam), 0.0)))
+    return extremes[0], extremes[1]
+
+
 def extreme_singular_values(
-    a: ComplexDense, tol: float = 1e-11, max_iter: int = 100_000
+    a, tol: float = 1e-11, max_iter: int = 100_000
 ) -> tuple[float, float]:
     """(sigma_max, sigma_min) by iteration on the smaller Gram matrix.
 
-    Agrees with ``svd_values`` to within ~10*tol relative on inputs where
-    both run; raises UnconvergedError with the best estimate otherwise.
+    ``a`` is dense (a ComplexDense or an array) or a
+    ``scipy.sparse.linalg.LinearOperator``; an operator goes through
+    Lanczos with at most ``max_iter`` restarts per extreme, and is never
+    made dense.  Agrees with ``svd_values`` to within ~10*tol relative on
+    inputs where both run; raises UnconvergedError with the best estimate
+    otherwise.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if _is_operator(a):
+        return _operator_extremes(a, tol, max_iter)
     mat = _checked(a)
     rows, cols = mat.shape
     gram = mat.conj().T @ mat if rows >= cols else mat @ mat.conj().T

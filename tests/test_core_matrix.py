@@ -17,6 +17,7 @@ from fourstab.core_matrix import (
     build_instability_submatrix,
     build_perturbed_dft_freq,
     build_vandermonde,
+    figure1_operator,
     rect_lattice_points,
     select_columns,
 )
@@ -71,6 +72,17 @@ class TestPointSets:
     def test_nodes_duplicate_mod_1_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             NodeSet([0.25, 1.25])
+
+    def test_nodes_in_unit_interval(self):
+        # np.mod(-1e-17, 1.0) is 1.0; the canonical point is 0.0.
+        for raw in ([-1e-17, 0.5, -1.25], [-5e-324], [[-1e-17, 0.25], [0.5, -1e-300]]):
+            pts = NodeSet(raw).points
+            assert np.all((pts >= 0.0) & (pts < 1.0))
+        assert NodeSet([-1e-17]).points[0, 0] == 0.0
+
+    def test_tiny_negative_is_duplicate_of_zero(self):
+        with pytest.raises(ValueError, match="distinct"):
+            NodeSet([0.0, -1e-17])
 
     def test_frequency_integer_flag(self):
         assert FrequencySet([0, 1, 2]).integer_flag
@@ -185,6 +197,11 @@ class TestBuildVandermonde:
         assert mat.notes and "duplicate" in mat.notes[0]
         assert np.linalg.matrix_rank(mat.data) == 1
 
+    def test_tiny_negative_duplicate_noted(self):
+        mat = build_vandermonde(3, [0.0, -1e-17])
+        assert mat.notes and "duplicate" in mat.notes[0]
+        assert np.array_equal(mat.data[:, 0], mat.data[:, 1])
+
     def test_bad_row_count(self):
         with pytest.raises(ValueError):
             build_vandermonde(0, [0.1])
@@ -275,6 +292,33 @@ class TestFigure1:
     def test_even_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             build_figure1(6)
+
+
+class TestFigure1Operator:
+    @pytest.mark.parametrize("n", [3, 5, 11, 101, 1201])
+    def test_matches_dense(self, n):
+        dense = build_figure1(n).data
+        op = figure1_operator(n)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 2)) @ np.array([1.0, 1j])
+        for got, want in ((op.matvec(x), dense @ x), (op.rmatvec(x), dense.conj().T @ x)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_columns_match_dense(self):
+        dense = build_figure1(11).data
+        assert np.allclose(figure1_operator(11).matmat(np.eye(11)), dense, rtol=0, atol=1e-14)
+
+    def test_adjoint_identity(self, rng):
+        n = 301
+        op = figure1_operator(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        lhs, rhs = np.vdot(y, op.matvec(x)), np.vdot(op.rmatvec(y), x)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_even_rejected(self):
+        with pytest.raises(ValueError, match="odd"):
+            figure1_operator(6)
 
 
 class TestSelectColumns:

@@ -38,6 +38,24 @@ class TestFigure1Sweep:
         full = figure1_sweep([101], SweepConfig())[0]
         assert rec.measured["kappa"] == pytest.approx(full.measured["kappa"], rel=1e-8)
 
+    def test_no_dense_build_beyond_crossover(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"dense build_figure1({n}) past the crossover")
+
+        monkeypatch.setattr(experiments, "build_figure1", refuse)
+        rec = figure1_sweep([101], SweepConfig(crossover=100))[0]
+        assert rec.params["method"] == "IterativeExtremes"
+
+    def test_kappa_growth_past_2001(self):
+        # Regression guard on measured values (operator route, 2-vCPU run:
+        # increments 0.5687, 0.5681, 0.5676), not a proof of a log-n law.
+        records = figure1_sweep([2001, 4001, 8001, 16001], SweepConfig())
+        assert all(r.params["method"] == "IterativeExtremes" for r in records)
+        kappas = [r.measured["kappa"] for r in records]
+        assert kappas[0] == pytest.approx(7.387841265790133, rel=1e-9)
+        for a, b in zip(kappas, kappas[1:]):
+            assert 0.55 <= b - a <= 0.59
+
     def test_even_size_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             figure1_sweep([4], SweepConfig())

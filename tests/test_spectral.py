@@ -1,7 +1,10 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from fourstab.core_matrix import (
     ComplexDense,
@@ -10,8 +13,10 @@ from fourstab.core_matrix import (
     build_dft,
     build_fourier,
     build_gamma,
+    build_figure1,
     build_instability_submatrix,
     build_vandermonde,
+    figure1_operator,
 )
 from fourstab.spectral import (
     UnconvergedError,
@@ -102,6 +107,35 @@ class TestExtremeSingularValues:
 
     def test_zero_matrix(self):
         assert extreme_singular_values(ComplexDense(np.zeros((3, 2), dtype=complex))) == (0.0, 0.0)
+
+
+class TestOperatorExtremes:
+    @pytest.mark.parametrize("n", [3, 5, 301])
+    def test_figure1_matches_full_path(self, n):
+        full = svd_values(build_figure1(n))
+        smax, smin = extreme_singular_values(figure1_operator(n))
+        assert abs(smax - full.sigma_max) <= 1e-10 * full.sigma_max
+        assert abs(smin - full.sigma_min) <= 1e-10 * full.sigma_max
+
+    def test_unconverged_raises_with_payload(self):
+        t = np.random.default_rng(7).uniform(0.0, 1.0, 400)
+        diag = np.sqrt(1.0 + t**2)
+        op = LinearOperator((400, 400), matvec=lambda x: diag * np.ravel(x),
+                            rmatvec=lambda x: diag * np.ravel(x), dtype=complex)
+        with pytest.raises(UnconvergedError) as err:
+            extreme_singular_values(op, max_iter=1)
+        assert err.value.iterations == 1
+        assert math.isfinite(err.value.best_estimate) and err.value.best_estimate > 0
+
+    def test_bad_tolerance(self):
+        with pytest.raises(ValueError):
+            extreme_singular_values(figure1_operator(3), tol=-1.0)
+
+
+def test_import_leaves_sparse_linalg_unloaded():
+    code = "import sys, fourstab; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestHermitianEigenvalues:
