@@ -188,7 +188,11 @@ def _operator_extremes(op, tol: float, max_iter: int) -> tuple[float, float]:
 
     rows, cols = op.shape
     gram = op.H @ op if rows >= cols else op @ op.H
-    v0 = _start_block(gram.shape[0])[:, 0]
+    n = gram.shape[0]
+    if n < 3:  # ARPACK needs k < n - 1; a 1x1 or 2x2 Gram matrix is formed instead
+        lam = np.linalg.eigvalsh(gram.matmat(np.eye(n, dtype=complex)))
+        return math.sqrt(max(float(lam[-1]), 0.0)), math.sqrt(max(float(lam[0]), 0.0))
+    v0 = _start_block(n)[:, 0]
     extremes = []
     for which, what in (("LA", "Lanczos (sigma_max)"), ("SA", "Lanczos (sigma_min)")):
         try:

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from fourstab.core_matrix import (
     ComplexDense,
@@ -117,6 +117,14 @@ class TestOperatorExtremes:
         assert abs(smax - full.sigma_max) <= 1e-10 * full.sigma_max
         assert abs(smin - full.sigma_min) <= 1e-10 * full.sigma_max
 
+    @pytest.mark.parametrize("shape", [(7, 1), (7, 2), (7, 3), (2, 9)])
+    def test_wrapped_dense_matches_full_path(self, rng, shape):
+        mat = random_fourier(rng, *shape)
+        full = svd_values(mat)
+        smax, smin = extreme_singular_values(aslinearoperator(mat.data))
+        assert abs(smax - full.sigma_max) <= 1e-10 * full.sigma_max
+        assert abs(smin - full.sigma_min) <= 1e-10 * full.sigma_max
+
     def test_unconverged_raises_with_payload(self):
         t = np.random.default_rng(7).uniform(0.0, 1.0, 400)
         diag = np.sqrt(1.0 + t**2)
@@ -126,10 +134,6 @@ class TestOperatorExtremes:
             extreme_singular_values(op, max_iter=1)
         assert err.value.iterations == 1
         assert math.isfinite(err.value.best_estimate) and err.value.best_estimate > 0
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            extreme_singular_values(figure1_operator(3), tol=-1.0)
 
 
 def test_import_leaves_sparse_linalg_unloaded():
