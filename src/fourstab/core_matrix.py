@@ -58,10 +58,12 @@ def torus_canonical(x) -> np.ndarray:
     """x modulo 1 as floats in [0, 1).
 
     ``np.mod`` rounds a tiny negative input up to exactly 1.0, the same
-    torus point as 0.0; that value is wrapped back to 0.0.
+    torus point as 0.0; that value is wrapped back to 0.0.  NaN (also what
+    ``np.mod`` gives for an infinite input) passes through, so callers that
+    require finite entries still reject it.
     """
     frac = np.mod(np.asarray(x, dtype=float), 1.0)
-    return np.where(frac < 1.0, frac, 0.0)
+    return np.where(frac == 1.0, 0.0, frac)
 
 
 def _require_distinct(arr: np.ndarray, what: str) -> None:

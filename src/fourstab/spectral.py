@@ -189,9 +189,8 @@ def _operator_extremes(op, tol: float, max_iter: int) -> tuple[float, float]:
     rows, cols = op.shape
     gram = op.H @ op if rows >= cols else op @ op.H
     n = gram.shape[0]
-    if n < 3:  # ARPACK needs k < n - 1; a 1x1 or 2x2 Gram matrix is formed instead
-        lam = np.linalg.eigvalsh(gram.matmat(np.eye(n, dtype=complex)))
-        return math.sqrt(max(float(lam[-1]), 0.0)), math.sqrt(max(float(lam[0]), 0.0))
+    if n < 3:  # ARPACK needs k < n - 1
+        raise ValueError(f"operator input needs at least 3 rows and 3 columns, got {op.shape}")
     v0 = _start_block(n)[:, 0]
     extremes = []
     for which, what in (("LA", "Lanczos (sigma_max)"), ("SA", "Lanczos (sigma_min)")):
@@ -212,9 +211,9 @@ def extreme_singular_values(
     """(sigma_max, sigma_min) by iteration on the smaller Gram matrix.
 
     ``a`` is dense (a ComplexDense or an array) or a
-    ``scipy.sparse.linalg.LinearOperator``; an operator goes through
-    Lanczos with at most ``max_iter`` restarts per extreme, and is never
-    made dense.  Agrees with ``svd_values`` to within ~10*tol relative on
+    ``scipy.sparse.linalg.LinearOperator``; an operator, which needs at
+    least 3 rows and 3 columns, goes through Lanczos with at most
+    ``max_iter`` restarts per extreme, and is never made dense.  Agrees with ``svd_values`` to within ~10*tol relative on
     inputs where both run; raises UnconvergedError with the best estimate
     otherwise.
     """

@@ -206,6 +206,11 @@ class TestBuildVandermonde:
         with pytest.raises(ValueError):
             build_vandermonde(0, [0.1])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_node_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            build_vandermonde(3, [bad, 0.5])
+
 
 class TestBuildDft:
     def test_trivial(self):

@@ -117,13 +117,17 @@ class TestOperatorExtremes:
         assert abs(smax - full.sigma_max) <= 1e-10 * full.sigma_max
         assert abs(smin - full.sigma_min) <= 1e-10 * full.sigma_max
 
-    @pytest.mark.parametrize("shape", [(7, 1), (7, 2), (7, 3), (2, 9)])
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 9)])
     def test_wrapped_dense_matches_full_path(self, rng, shape):
         mat = random_fourier(rng, *shape)
         full = svd_values(mat)
         smax, smin = extreme_singular_values(aslinearoperator(mat.data))
         assert abs(smax - full.sigma_max) <= 1e-10 * full.sigma_max
         assert abs(smin - full.sigma_min) <= 1e-10 * full.sigma_max
+
+    def test_too_small_rejected(self, rng):
+        with pytest.raises(ValueError, match="at least 3"):
+            extreme_singular_values(aslinearoperator(random_fourier(rng, 7, 2).data))
 
     def test_unconverged_raises_with_payload(self):
         t = np.random.default_rng(7).uniform(0.0, 1.0, 400)
