@@ -10,6 +10,7 @@ memory (about 2 s at n = 32001 on a 2-vCPU machine).
 import argparse
 
 from fourstab.experiments import SweepConfig, figure1_sweep
+from fourstab.spectral import CROSSOVER_DIM
 
 
 def main() -> None:
@@ -17,7 +18,7 @@ def main() -> None:
     ap.add_argument("--n-min", type=int, default=101)
     ap.add_argument("--n-max", type=int, default=2001)
     ap.add_argument("--step", type=int, default=100)
-    ap.add_argument("--crossover", type=int, default=1024)
+    ap.add_argument("--crossover", type=int, default=CROSSOVER_DIM)
     ap.add_argument("--out", default="figure1.csv")
     args = ap.parse_args()
 

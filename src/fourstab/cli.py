@@ -321,7 +321,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_spectral(args) -> int:
     mat = _matrix_from_args(args)
-    _emit(exp.strict_json(svd_values(mat).to_dict()), args.out)
+    _emit(exp.strict_json(svd_values(mat, residual=True).to_dict()), args.out)
     return 0
 
 

@@ -279,7 +279,10 @@ def clump_decompose(u: Sequence[float], L: int, lambda_cap: int) -> ClumpDecompo
         raise ValueError(f"row count must be >= 1, got {L}")
     if lambda_cap < 1:
         raise ValueError(f"cluster size cap must be >= 1, got {lambda_cap}")
-    xs = np.sort(torus_canonical(list(u)))
+    raw = np.asarray(list(u), dtype=float)
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("nodes must be finite")
+    xs = np.sort(torus_canonical(raw))
     n = xs.size
     if n < 1:
         raise ValueError("need at least one node")

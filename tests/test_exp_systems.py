@@ -274,6 +274,11 @@ class TestClumpDecompose:
         with pytest.raises(ValueError, match="distinct"):
             clump_decompose([0.25, 1.25], L=10, lambda_cap=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            clump_decompose([bad, 0.0], L=10, lambda_cap=1)
+
     def test_json_serialization(self):
         import json
 

@@ -7,6 +7,7 @@ import pytest
 
 from fourstab import experiments
 from fourstab.core_matrix import ComplexDense
+from fourstab.spectral import CROSSOVER_DIM
 from fourstab.experiments import (
     SweepConfig,
     benchmark_comparison,
@@ -35,7 +36,8 @@ class TestFigure1Sweep:
         cfg = SweepConfig(crossover=100)
         rec = figure1_sweep([101], cfg)[0]
         assert rec.params["method"] == "IterativeExtremes"
-        full = figure1_sweep([101], SweepConfig())[0]
+        full = figure1_sweep([101], SweepConfig(crossover=101))[0]
+        assert full.params["method"] == "FullDecomposition"
         assert rec.measured["kappa"] == pytest.approx(full.measured["kappa"], rel=1e-8)
 
     def test_no_dense_build_beyond_crossover(self, monkeypatch):
@@ -44,6 +46,15 @@ class TestFigure1Sweep:
 
         monkeypatch.setattr(experiments, "build_figure1", refuse)
         rec = figure1_sweep([101], SweepConfig(crossover=100))[0]
+        assert rec.params["method"] == "IterativeExtremes"
+
+    def test_default_crossover_routes_to_operator(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"dense build_figure1({n}) past the default crossover")
+
+        monkeypatch.setattr(experiments, "build_figure1", refuse)
+        n = CROSSOVER_DIM + 1 + CROSSOVER_DIM % 2  # smallest odd size past it
+        rec = figure1_sweep([n], SweepConfig())[0]
         assert rec.params["method"] == "IterativeExtremes"
 
     def test_kappa_growth_past_2001(self):

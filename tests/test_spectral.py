@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from fourstab.core_matrix import (
     build_vandermonde,
     figure1_operator,
 )
+from fourstab.experiments import strict_json
 from fourstab.spectral import (
     UnconvergedError,
     condition_number,
@@ -58,8 +60,24 @@ class TestSvdValues:
 
     def test_residual_small_up_to_500(self, rng):
         for rows, cols in ((60, 40), (500, 120)):
-            s = svd_values(random_fourier(rng, rows, cols))
+            s = svd_values(random_fourier(rng, rows, cols), residual=True)
             assert s.residual <= 1e-9 * s.sigma_max
+
+    def test_values_only_by_default(self):
+        s = svd_values(build_dft((4,)))
+        assert s.residual is None
+        assert s.method == "FullDecomposition"
+
+    def test_values_only_matches_full_decomposition(self, rng):
+        mats = [random_fourier(rng, 60, 40), random_fourier(rng, 500, 120), build_instability_submatrix(511)]
+        for mat in mats:
+            fast = np.array(svd_values(mat).singular_values)
+            full = svd_values(mat, residual=True)
+            assert np.max(np.abs(fast - np.array(full.singular_values))) <= 1e-13 * full.sigma_max
+
+    def test_missing_residual_is_json_null(self):
+        doc = json.loads(strict_json(svd_values(build_dft((3,))).to_dict()))
+        assert doc["residual"] is None
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
