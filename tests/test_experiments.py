@@ -7,7 +7,6 @@ import pytest
 
 from fourstab import experiments
 from fourstab.core_matrix import ComplexDense
-from fourstab.spectral import CROSSOVER_DIM
 from fourstab.experiments import (
     SweepConfig,
     benchmark_comparison,
@@ -20,6 +19,7 @@ from fourstab.experiments import (
     wellsep_sweep,
     write_report,
 )
+from fourstab.spectral import CROSSOVER_DIM
 
 # Frozen via a 30-digit closed-form evaluation, cross-checked by bisection below.
 ELL_HALF_1D = 0.13497327191869204

@@ -43,6 +43,7 @@ class TestSvdValues:
         s = svd_values(build_dft((4,)))
         assert np.allclose(s.singular_values, 2.0, atol=1e-12)
         assert s.method == "FullDecomposition"
+        assert s.residual is None  # values only unless residual=True
 
     def test_instability(self):
         s = svd_values(build_instability_submatrix(3))
@@ -62,11 +63,6 @@ class TestSvdValues:
         for rows, cols in ((60, 40), (500, 120)):
             s = svd_values(random_fourier(rng, rows, cols), residual=True)
             assert s.residual <= 1e-9 * s.sigma_max
-
-    def test_values_only_by_default(self):
-        s = svd_values(build_dft((4,)))
-        assert s.residual is None
-        assert s.method == "FullDecomposition"
 
     def test_values_only_matches_full_decomposition(self, rng):
         mats = [random_fourier(rng, 60, 40), random_fourier(rng, 500, 120), build_instability_submatrix(511)]
