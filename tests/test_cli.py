@@ -59,6 +59,16 @@ class TestSpectralCommand:
         assert code == 0
         assert strict_loads(out)["condition"] is None
 
+    @pytest.mark.parametrize(
+        "data", ['[["a", "b"], [1, 0]]', '[5, [1, 0]]', "5", '[[true, false], [1, 0]]']
+    )
+    def test_malformed_input_is_failure(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text('{"rows": 1, "cols": 2, "data": %s}' % data)
+        code, out, err = run_cli(capsys, "spectral", "--input", str(path))
+        assert code == 1 and out == ""
+        assert strict_loads(err)["error"] == "ValueError"
+
     def test_no_source_is_failure(self, capsys):
         code, out, err = run_cli(capsys, "spectral")
         assert code == 1

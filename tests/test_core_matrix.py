@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,67 @@ class TestComplexDense:
             ComplexDense.from_json('{"rows": 2, "cols": 2, "data": [[1, 0]]}')
         with pytest.raises(ValueError):
             ComplexDense.from_json('{"rows": 2, "data": []}')
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"rows": 1, "cols": 2, "data": [["a", "b"], [1, 0]]}',
+            '{"rows": 1, "cols": 2, "data": [5, [1, 0]]}',
+            '{"rows": 1, "cols": 2, "data": 5}',
+            '{"rows": 1, "cols": 2, "data": [[true, false], [1, 0]]}',
+            '{"rows": true, "cols": 2, "data": [[1, 0], [1, 0]]}',
+            '{"rows": 1.5, "cols": 2, "data": [[1, 0], [1, 0]]}',
+        ],
+        ids=["string-parts", "bare-number-cell", "data-not-a-list", "bool-parts", "bool-rows", "float-rows"],
+    )
+    def test_from_json_malformed_is_value_error(self, doc):
+        with pytest.raises(ValueError, match="matrix JSON"):
+            ComplexDense.from_json(doc)
+
+
+def _reference_json(mat):
+    """Per-entry formatter the batched ``to_json`` must reproduce byte for byte."""
+    cells = ",".join(f"[{z.real:.17g},{z.imag:.17g}]" for z in mat.entries)
+    return f'{{"rows":{mat.rows},"cols":{mat.cols},"data":[{cells}]}}'
+
+
+def _reference_csv(mat):
+    """Per-entry formatter the batched ``to_csv`` must reproduce byte for byte."""
+    lines = ["row,col,re,im"]
+    for r in range(mat.rows):
+        for c in range(mat.cols):
+            z = mat.data[r, c]
+            lines.append(f"{r},{c},{z.real:.17g},{z.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+_SERIALIZED = {
+    "dft4": lambda: build_dft((4,)),
+    "dft2x3": lambda: build_dft((2, 3)),
+    "instability511": lambda: build_instability_submatrix(511),
+    "figure1-63": lambda: build_figure1(63),
+    "random-unit-300x200": lambda: ComplexDense(
+        np.exp(2j * np.pi * np.random.default_rng(8).random((300, 200)))
+    ),
+    "extremes-1x4": lambda: ComplexDense(
+        np.array([[complex(-0.0, 0.0), complex(1e-300, -0.0), complex(0.0, 5e-324),
+                   complex(-1.7976931348623157e308, 0.0)]])
+    ),
+}
+
+
+class TestSerializationBytes:
+    @pytest.mark.parametrize("name", list(_SERIALIZED))
+    def test_matches_per_entry_formatters(self, name):
+        mat = _SERIALIZED[name]()
+        assert mat.to_json() == _reference_json(mat)
+        assert mat.to_csv() == _reference_csv(mat)
+
+    @pytest.mark.parametrize("name", list(_SERIALIZED))
+    def test_json_round_trip_bit_identical(self, name):
+        mat = _SERIALIZED[name]()
+        again = ComplexDense.from_json(mat.to_json())
+        assert np.array_equal(again.data.view(np.int64), mat.data.view(np.int64))
 
 
 class TestPointSets:
@@ -208,8 +270,10 @@ class TestBuildVandermonde:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_node_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            build_vandermonde(3, [bad, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="nodes must be finite"):
+                build_vandermonde(3, [bad, 0.5])
 
 
 class TestBuildDft:
