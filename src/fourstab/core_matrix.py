@@ -175,17 +175,16 @@ class ComplexDense:
         if not isinstance(data, list) or len(data) != rows * cols:
             got = len(data) if isinstance(data, list) else type(data).__name__
             raise ValueError(f"matrix JSON: expected a list of {rows * cols} entries, got {got}")
-        try:
-            flat = np.array(data, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"matrix JSON: data must be a list of [re, im] pairs ({exc})") from exc
-        if flat.shape != (rows * cols, 2):
+        if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
             raise ValueError("matrix JSON: data must be a list of [re, im] pairs")
-        # np.array also converts bools, None and numeric strings.
         kinds = set(map(type, itertools.chain.from_iterable(data)))
         if not kinds <= {int, float}:
             names = sorted(k.__name__ for k in kinds - {int, float})
             raise ValueError(f"matrix JSON: [re, im] parts must be numbers, got {', '.join(names)}")
+        try:
+            flat = np.fromiter(itertools.chain.from_iterable(data), dtype=float, count=2 * rows * cols)
+        except OverflowError as exc:
+            raise ValueError(f"matrix JSON: {exc}") from exc
         return cls(flat.view(np.complex128).reshape(rows, cols))
 
     def to_csv(self) -> str:
