@@ -73,8 +73,10 @@ class TestComplexDense:
             '{"rows": 1, "cols": 2, "data": [[true, false], [1, 0]]}',
             '{"rows": true, "cols": 2, "data": [[1, 0], [1, 0]]}',
             '{"rows": 1.5, "cols": 2, "data": [[1, 0], [1, 0]]}',
+            '{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 400),
         ],
-        ids=["string-parts", "bare-number-cell", "data-not-a-list", "bool-parts", "bool-rows", "float-rows"],
+        ids=["string-parts", "bare-number-cell", "data-not-a-list", "bool-parts", "bool-rows", "float-rows",
+             "int-beyond-float"],
     )
     def test_from_json_malformed_is_value_error(self, doc):
         with pytest.raises(ValueError, match="matrix JSON"):
