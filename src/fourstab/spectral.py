@@ -3,12 +3,11 @@
 Two independent routes are provided and cross-validated in the test suite:
 ``svd_values`` goes through a dense values-only SVD (the singular vectors
 and the residual they give are opt-in), while ``extreme_singular_values``
-runs power iteration (largest) and inverse iteration on the Gram matrix
-(smallest) with deterministic start vectors.  Given a matrix-free
-``scipy.sparse.linalg.LinearOperator`` (such as
-``core_matrix.figure1_operator``), ``extreme_singular_values`` instead runs
-Lanczos (ARPACK ``eigsh``) on the operator Gram product A^H A, which needs
-only matvecs and O(n) memory.
+runs Lanczos (ARPACK ``eigsh``) on the smaller Gram product A^H A or A A^H
+from a deterministic start vector and never calls LAPACK SVD.  It takes a
+matrix-free ``scipy.sparse.linalg.LinearOperator`` (such as
+``core_matrix.figure1_operator``), needing only matvecs and O(n) memory,
+and wraps a dense input as one.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core_matrix import ComplexDense
 
@@ -39,8 +37,7 @@ __all__ = [
 # build and SVD between n = 151 and 161 and is about 2x faster at n = 201;
 # below that the two differ by a few ms.
 CROSSOVER_DIM = 201
-_ILL_CONDITIONED = 1e8        # inverse iteration falls back to the full path
-_START_SEED = 0x5EED          # deterministic iteration start vectors
+_START_SEED = 0x5EED  # deterministic Lanczos start vector
 
 METHOD_FULL = "FullDecomposition"
 METHOD_ITERATIVE = "IterativeExtremes"
@@ -122,87 +119,56 @@ def svd_values(a: ComplexDense, residual: bool = False) -> SpectralSummary:
     )
 
 
-_BLOCK = 8  # subspace width; cushions clustered extreme eigenvalues
+_BLOCK = 8  # width of the Gaussian block the start vector is drawn from
 
 
-def _start_block(n: int) -> np.ndarray:
+def _start_vector(n: int) -> np.ndarray:
+    """Deterministic unit start vector for Lanczos: column 0 of an
+    orthonormalised n x min(_BLOCK, n) complex Gaussian block.  The block
+    fixes the draws, so changing its width moves ARPACK's path."""
     rng = np.random.default_rng(_START_SEED)
     v = rng.standard_normal((n, min(_BLOCK, n))) + 1j * rng.standard_normal((n, min(_BLOCK, n)))
     q, _ = np.linalg.qr(v)
-    return q
+    return q[:, 0]
 
 
-def _ritz_extreme(gram: np.ndarray, basis: np.ndarray, top: bool) -> tuple[float, np.ndarray]:
-    """Extreme Ritz pair of ``gram`` over the orthonormal columns of ``basis``."""
-    projected = basis.conj().T @ (gram @ basis)
-    projected = 0.5 * (projected + projected.conj().T)
-    vals, vecs = np.linalg.eigh(projected)
-    idx = -1 if top else 0
-    return float(vals[idx]), basis @ vecs[:, idx]
+def extreme_singular_values(
+    a, tol: float = 1e-11, max_iter: int = 100_000
+) -> tuple[float, float]:
+    """(sigma_max, sigma_min) by Lanczos on the smaller Gram product.
 
+    ``a`` is dense (a ComplexDense or an array, wrapped with
+    ``aslinearoperator``) or a ``scipy.sparse.linalg.LinearOperator``; only
+    products with A and A^H are used.  ARPACK ``eigsh`` finds the largest and the
+    smallest eigenvalue of A^H A or A A^H, whichever is smaller, with at
+    most ``max_iter`` restarts per extreme.  A Gram dimension of 1 or 2,
+    which ARPACK cannot take, is solved directly from the explicit Gram,
+    and a zero input gives (0.0, 0.0).
 
-def _power_largest(gram: np.ndarray, tol: float, max_iter: int) -> float:
-    """Largest eigenvalue of the Hermitian PSD matrix ``gram`` by block
-    power iteration with Rayleigh-Ritz extraction."""
-    basis = _start_block(gram.shape[0])
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        lam, x = _ritz_extreme(gram, basis, top=True)
-        if lam <= 0.0:
-            return 0.0
-        if np.linalg.norm(gram @ x - lam * x) <= tol * lam:
-            return lam
-        basis, _ = np.linalg.qr(gram @ basis)
-    raise UnconvergedError("power iteration (sigma_max)", math.sqrt(max(lam, 0.0)), max_iter)
-
-
-def _inverse_smallest(gram: np.ndarray, lam_max: float, tol: float, max_iter: int):
-    """Smallest eigenvalue of ``gram`` by zero-shift block inverse iteration.
-
-    Returns None when the Cholesky factorization fails or the matrix looks
-    too ill-conditioned for the normal-equations solve; the caller then
-    falls back to the full decomposition.
+    sigma_max agrees with ``svd_values`` to about ``tol`` relative.
+    sigma_min is the root of a Gram eigenvalue, so rounding can move it by
+    up to about eps * sigma_max**2 / sigma_min, and never by much more than
+    sqrt(eps) * sigma_max: on ill-conditioned inputs it is good to about
+    1e-8 relative to sigma_max, not to ``tol``.  Raises UnconvergedError
+    with the best estimate when ARPACK does not converge.
     """
-    try:
-        factor = cho_factor(gram, lower=True, check_finite=False)
-    except (np.linalg.LinAlgError, ValueError):
-        return None
-    basis = _start_block(gram.shape[0])
-    mu = lam_max
-    floor = gram.shape[0] * np.finfo(float).eps * lam_max  # residual noise floor
-    for it in range(1, max_iter + 1):
-        mu, x = _ritz_extreme(gram, basis, top=False)
-        if mu <= 0.0 or (lam_max > 0 and lam_max / mu > _ILL_CONDITIONED**2):
-            return None
-        if np.linalg.norm(gram @ x - mu * x) <= tol * mu + floor:
-            return mu
-        solved = cho_solve(factor, basis, check_finite=False)
-        if not np.all(np.isfinite(solved)):
-            return None
-        basis, _ = np.linalg.qr(solved)
-    raise UnconvergedError("inverse iteration (sigma_min)", math.sqrt(max(mu, 0.0)), max_iter)
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, aslinearoperator, eigsh
 
-
-def _is_operator(a) -> bool:
-    """True for a ``scipy.sparse.linalg.LinearOperator``; imports scipy's
-    sparse package only for inputs that are not already dense."""
-    if isinstance(a, (ComplexDense, np.ndarray)):
-        return False
-    from scipy.sparse.linalg import LinearOperator
-
-    return isinstance(a, LinearOperator)
-
-
-def _operator_extremes(op, tol: float, max_iter: int) -> tuple[float, float]:
-    """(sigma_max, sigma_min) of a LinearOperator by Lanczos on its smaller Gram product."""
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
+    op = a if isinstance(a, LinearOperator) else aslinearoperator(_checked(a))
     rows, cols = op.shape
     gram = op.H @ op if rows >= cols else op @ op.H
     n = gram.shape[0]
-    if n < 3:  # ARPACK needs k < n - 1
-        raise ValueError(f"operator input needs at least 3 rows and 3 columns, got {op.shape}")
-    v0 = _start_block(n)[:, 0]
+    if n < 3:  # ARPACK's eigsh needs k < n - 1
+        lam = np.linalg.eigvalsh(gram @ np.eye(n))
+        return math.sqrt(max(float(lam[-1]), 0.0)), math.sqrt(max(float(lam[0]), 0.0))
+    v0 = _start_vector(n)
+    w0 = gram.matvec(v0)
+    if not np.any(w0):  # a zero input, whose Krylov space ARPACK rejects
+        return 0.0, 0.0
     extremes = []
     for which, what in (("LA", "Lanczos (sigma_max)"), ("SA", "Lanczos (sigma_min)")):
         try:
@@ -210,43 +176,10 @@ def _operator_extremes(op, tol: float, max_iter: int) -> tuple[float, float]:
                         return_eigenvectors=False)[0]
         except ArpackNoConvergence as exc:
             ritz = exc.eigenvalues
-            best = ritz[0] if len(ritz) else np.vdot(v0, gram.matvec(v0))
+            best = ritz[0] if len(ritz) else np.vdot(v0, w0)
             raise UnconvergedError(what, math.sqrt(max(float(np.real(best)), 0.0)), max_iter) from exc
         extremes.append(math.sqrt(max(float(lam), 0.0)))
     return extremes[0], extremes[1]
-
-
-def extreme_singular_values(
-    a, tol: float = 1e-11, max_iter: int = 100_000
-) -> tuple[float, float]:
-    """(sigma_max, sigma_min) by iteration on the smaller Gram matrix.
-
-    ``a`` is dense (a ComplexDense or an array) or a
-    ``scipy.sparse.linalg.LinearOperator``; an operator, which needs at
-    least 3 rows and 3 columns, goes through Lanczos with at most
-    ``max_iter`` restarts per extreme, and is never made dense.  Agrees with ``svd_values`` to within ~10*tol relative on
-    inputs where both run; raises UnconvergedError with the best estimate
-    otherwise.
-    """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if _is_operator(a):
-        return _operator_extremes(a, tol, max_iter)
-    mat = _checked(a)
-    rows, cols = mat.shape
-    gram = mat.conj().T @ mat if rows >= cols else mat @ mat.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
-
-    lam_max = _power_largest(gram, tol, max_iter)
-    sigma_max = math.sqrt(max(lam_max, 0.0))
-    if lam_max == 0.0:
-        return 0.0, 0.0
-
-    lam_min = _inverse_smallest(gram, lam_max, tol, max_iter)
-    if lam_min is None:
-        s = np.linalg.svd(mat, compute_uv=False)
-        return sigma_max, float(s[-1])
-    return sigma_max, math.sqrt(max(lam_min, 0.0))
 
 
 def hermitian_eigenvalues(b: ComplexDense) -> np.ndarray:

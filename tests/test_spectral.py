@@ -116,11 +116,34 @@ class TestExtremeSingularValues:
         assert err.value.best_estimate > 0
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            extreme_singular_values(build_dft((2,)), tol=0.0)
+        bad = ({"tol": 0.0}, {"tol": -1e-11}, {"tol": math.nan}, {"max_iter": 0}, {"max_iter": -3})
+        for mat in (build_dft((2,)), build_dft((5,)), aslinearoperator(build_dft((5,)).data)):
+            for kwargs in bad:
+                with pytest.raises(ValueError, match="tolerance|max_iter"):
+                    extreme_singular_values(mat, **kwargs)
 
     def test_zero_matrix(self):
-        assert extreme_singular_values(ComplexDense(np.zeros((3, 2), dtype=complex))) == (0.0, 0.0)
+        for shape in ((3, 2), (5, 4), (4, 4)):
+            zero = np.zeros(shape, dtype=complex)
+            assert extreme_singular_values(ComplexDense(zero)) == (0.0, 0.0)
+            assert extreme_singular_values(aslinearoperator(zero)) == (0.0, 0.0)
+
+    def test_never_calls_lapack_svd(self, monkeypatch):
+        # The 12-point DFT (frequencies -6..5) with node 1 moved to 1e-9:
+        # kappa ~ 1.6e8, so sigma_min^2 lies below eps * sigma_max^2.
+        nodes = np.arange(12) / 12
+        nodes[1] = 1e-9
+        mat = build_fourier(FrequencySet(np.arange(-6, 6)[:, None]), NodeSet(nodes[:, None]))
+        full = svd_values(mat)
+        assert full.condition > 1e8
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("extreme_singular_values called np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        smax, smin = extreme_singular_values(mat)
+        assert abs(smax - full.sigma_max) <= 1e-8 * full.sigma_max
+        assert abs(smin - full.sigma_min) <= 1e-8 * full.sigma_max
 
 
 class TestOperatorExtremes:
@@ -139,9 +162,13 @@ class TestOperatorExtremes:
         assert abs(smax - full.sigma_max) <= 1e-10 * full.sigma_max
         assert abs(smin - full.sigma_min) <= 1e-10 * full.sigma_max
 
-    def test_too_small_rejected(self, rng):
-        with pytest.raises(ValueError, match="at least 3"):
-            extreme_singular_values(aslinearoperator(random_fourier(rng, 7, 2).data))
+    def test_tiny_gram_solved_directly(self, rng):
+        for shape, wrap in (((7, 2), True), ((2, 9), True), ((3, 1), False)):
+            mat = random_fourier(rng, *shape)
+            full = svd_values(mat)
+            smax, smin = extreme_singular_values(aslinearoperator(mat.data) if wrap else mat)
+            assert abs(smax - full.sigma_max) <= 1e-10 * full.sigma_max
+            assert abs(smin - full.sigma_min) <= 1e-10 * full.sigma_max
 
     def test_unconverged_raises_with_payload(self):
         t = np.random.default_rng(7).uniform(0.0, 1.0, 400)
