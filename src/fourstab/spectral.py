@@ -139,11 +139,11 @@ def extreme_singular_values(
 
     ``a`` is dense (a ComplexDense or an array, wrapped with
     ``aslinearoperator``) or a ``scipy.sparse.linalg.LinearOperator``; only
-    products with A and A^H are used.  ARPACK ``eigsh`` finds the largest and the
-    smallest eigenvalue of A^H A or A A^H, whichever is smaller, with at
-    most ``max_iter`` restarts per extreme.  A Gram dimension of 1 or 2,
-    which ARPACK cannot take, is solved directly from the explicit Gram,
-    and a zero input gives (0.0, 0.0).
+    products with A and A^H are used.  ARPACK ``eigsh`` finds the largest
+    and the smallest eigenvalue of A^H A or A A^H, whichever is smaller,
+    with at most ``max_iter`` restarts per extreme.  A Gram dimension of 1
+    or 2, which ARPACK cannot take, is solved directly from the explicit
+    Gram, and a zero input gives (0.0, 0.0).
 
     sigma_max agrees with ``svd_values`` to about ``tol`` relative.
     sigma_min is the root of a Gram eigenvalue, so rounding can move it by
