@@ -18,7 +18,7 @@ from .core_matrix import (
     build_instability_submatrix,
     build_perturbed_dft_freq,
     build_vandermonde,
-    figure1_operator,
+    figure1_gram,
     select_columns,
 )
 from .spectral import (
@@ -26,6 +26,7 @@ from .spectral import (
     UnconvergedError,
     condition_number,
     extreme_singular_values,
+    gram_extremes,
     hermitian_eigenvalues,
     numeric_rank,
     svd_values,

@@ -36,7 +36,7 @@ __all__ = [
     "build_perturbed_dft_freq",
     "build_instability_submatrix",
     "build_figure1",
-    "figure1_operator",
+    "figure1_gram",
     "select_columns",
     "rect_lattice_points",
 ]
@@ -441,29 +441,37 @@ def build_figure1(n: int) -> ComplexDense:
     return _fourier_from_arrays(j, cols)
 
 
-def figure1_operator(n: int):
-    """``build_figure1(n)`` as a matrix-free ``scipy.sparse.linalg.LinearOperator``.
+def figure1_gram(n: int):
+    """F F^H for F = ``build_figure1(n)`` as a real symmetric
+    ``scipy.sparse.linalg.LinearOperator``.
 
-    Column k of the matrix is D_c W e_k with c = e(k), where W is the
-    unnormalized DFT and D_c = diag(exp(2*pi*i*j*c/n)).  So F = sum_c D_c W P_c
-    over c in {0, -1/4, +1/4}, with P_c the mask of the columns where
-    e(k) = c: a matvec is three FFTs and O(n) memory, never an n x n array.
+    Row j of F is exp(2*pi*i*j*x_k) over the nodes x_k = (k + e(k))/n, so
+    (F F^H)_{j,j'} = t_{j-j'} with t_d = sum_k exp(2*pi*i*d*x_k): the Gram is
+    Toeplitz.  The nodes are symmetric mod 1 (x_{n-k} = -x_k), so
+    t_d = 1 + 2 sum_{k=1..m} cos(2*pi*d*(k - 1/4)/n) with n = 2m+1, which
+    sums to t_0 = n, t_d = 1 for odd d and t_d = 1 - 1/sin(pi*(n-|d|)/(2n))
+    for even d != 0.  A matvec embeds the Toeplitz matrix in a circulant of
+    power-of-two size N >= 2n-1 (Chan and Ng, SIAM Review 1996): one
+    rfft/irfft pair and O(n) memory, never an n x n array.  It takes real
+    vectors only; ``numpy.fft.rfft`` raises TypeError on a complex one.
     """
     from scipy.sparse.linalg import LinearOperator
 
-    eps = _figure1_shifts(n)
-    j = np.arange(n, dtype=float)
-    parts = [(eps == c, unit_entries(j * c / n)) for c in (0.0, -0.25, 0.25)]
+    _require_odd(n)
+    t = np.ones(n)
+    t[0] = n
+    even = np.arange(2, n, 2)
+    t[even] = 1.0 - 1.0 / np.sin(np.pi * (n - even) / (2 * n))
+    size = 1 << (2 * n - 2).bit_length()
+    col = np.zeros(size)
+    col[:n] = t
+    col[size - n + 1 :] = t[:0:-1]
+    lam = np.fft.rfft(col).real  # the circulant is real symmetric, so its spectrum is real
 
     def matvec(x):
-        x = np.ravel(x)
-        return sum(d * np.fft.ifft(np.where(mask, x, 0.0)) for mask, d in parts) * n
+        return np.fft.irfft(lam * np.fft.rfft(np.ravel(x), size), size)[:n]
 
-    def rmatvec(y):
-        y = np.ravel(y)
-        return sum(np.where(mask, np.fft.fft(d.conj() * y), 0.0) for mask, d in parts)
-
-    return LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec, dtype=np.complex128)
+    return LinearOperator((n, n), matvec=matvec, rmatvec=matvec, dtype=np.float64)
 
 
 def select_columns(a: ComplexDense, idx: Sequence[int]) -> ComplexDense:

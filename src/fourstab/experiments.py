@@ -4,7 +4,8 @@ Each trial draws its randomness from a stream keyed by (seed, trial_index),
 so results are byte-identical across runs and independent of the degree of
 parallelism.  Records serialize to CSV (12 significant digits, wall time
 excluded so repeated runs are byte-identical) and to a strict JSON report,
-in which a non-finite number is written as null.
+in which a non-finite number is written as null and, as an object member,
+flagged by a ``<name>_nonfinite`` sibling.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .core_matrix import (
     build_figure1,
     build_perturbed_dft_freq,
     build_vandermonde,
-    figure1_operator,
+    figure1_gram,
     rect_lattice_points,
 )
 from .exp_systems import clump_decompose, separation
@@ -35,7 +36,7 @@ from .spectral import (
     METHOD_FULL,
     METHOD_ITERATIVE,
     UnconvergedError,
-    extreme_singular_values,
+    gram_extremes,
     svd_values,
 )
 
@@ -136,14 +137,24 @@ def _finite_or_none(value):
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
-        return {k: _finite_or_none(v) for k, v in value.items()}
+        out = {}
+        for k, v in value.items():
+            out[k] = _finite_or_none(v)
+            if isinstance(v, float) and not math.isfinite(v):
+                out[f"{k}_nonfinite"] = str(float(v))  # "nan", "inf" or "-inf"
+        return out
     if isinstance(value, (list, tuple)):
         return [_finite_or_none(v) for v in value]
     return value
 
 
 def strict_json(doc, **kwargs) -> str:
-    """JSON text of ``doc`` with every NaN or infinity written as null."""
+    """JSON text of ``doc`` with every NaN or infinity written as null.
+
+    An object member ``name`` that is NaN, +inf or -inf also gets a sibling
+    ``name_nonfinite`` holding "nan", "inf" or "-inf", so the reader can
+    tell it from a missing value (a None member gets no sibling).
+    """
     return json.dumps(_finite_or_none(doc), allow_nan=False, **kwargs)
 
 
@@ -228,7 +239,7 @@ def figure1_sweep(n_list: Sequence[int], cfg: SweepConfig) -> list[SweepRecord]:
     """Condition number of the sign-perturbed DFT family over odd sizes.
 
     Sizes up to ``cfg.crossover`` get a dense SVD of ``build_figure1(n)``;
-    larger ones get Lanczos extremes of the matrix-free ``figure1_operator(n)``.
+    larger ones get Lanczos extremes of the matrix-free Gram ``figure1_gram(n)``.
     """
     sizes = [int(n) for n in n_list]
     for n in sizes:
@@ -241,7 +252,7 @@ def figure1_sweep(n_list: Sequence[int], cfg: SweepConfig) -> list[SweepRecord]:
             smax, smin, method = summary.sigma_max, summary.sigma_min, METHOD_FULL
         else:
             try:
-                smax, smin = extreme_singular_values(figure1_operator(n))
+                smax, smin = gram_extremes(figure1_gram(n))
             except UnconvergedError as exc:
                 raise UnconvergedError(f"size n={n}: {exc}", exc.best_estimate, exc.iterations)
             method = METHOD_ITERATIVE

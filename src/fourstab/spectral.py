@@ -2,12 +2,13 @@
 
 Two independent routes are provided and cross-validated in the test suite:
 ``svd_values`` goes through a dense values-only SVD (the singular vectors
-and the residual they give are opt-in), while ``extreme_singular_values``
-runs Lanczos (ARPACK ``eigsh``) on the smaller Gram product A^H A or A A^H
-from a deterministic start vector and never calls LAPACK SVD.  It takes a
-matrix-free ``scipy.sparse.linalg.LinearOperator`` (such as
-``core_matrix.figure1_operator``), needing only matvecs and O(n) memory,
-and wraps a dense input as one.
+and the residual they give are opt-in), while ``gram_extremes`` runs
+Lanczos (ARPACK ``eigsh``) on a Gram product G = A^H A or A A^H from a
+deterministic real start vector and never calls LAPACK SVD.  G is any
+Hermitian ``scipy.sparse.linalg.LinearOperator``, needing only matvecs and
+O(n) memory: ``core_matrix.figure1_gram`` is the real symmetric Toeplitz
+Gram of the figure-1 family, and ``extreme_singular_values`` forms the
+smaller Gram product of a dense matrix or a ``LinearOperator`` A.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "UnconvergedError",
     "svd_values",
     "extreme_singular_values",
+    "gram_extremes",
     "hermitian_eigenvalues",
     "numeric_rank",
     "condition_number",
@@ -32,11 +34,12 @@ __all__ = [
     "CROSSOVER_DIM",
 ]
 
-# Figure-1 sizes up to here get a dense values-only SVD, larger ones the
-# matrix-free operator.  On a 2-vCPU VM the operator overtakes the dense
-# build and SVD between n = 151 and 161 and is about 2x faster at n = 201;
-# below that the two differ by a few ms.
-CROSSOVER_DIM = 201
+# Figure-1 sizes up to here get a dense values-only SVD, larger ones Lanczos
+# on the Toeplitz Gram ``figure1_gram``.  Medians of 21 runs with 2 BLAS
+# threads on a 2-vCPU VM: the Gram route takes 1.6-3.7 ms at every n from
+# 31 to 201, the dense build and SVD 1.6-2.2 ms at n = 75, 2.5-3.0 ms at
+# 83, 2.9-3.5 ms at 87 and 19 ms at 201, so they break even near n = 83.
+CROSSOVER_DIM = 83
 _START_SEED = 0x5EED  # deterministic Lanczos start vector
 
 METHOD_FULL = "FullDecomposition"
@@ -119,19 +122,6 @@ def svd_values(a: ComplexDense, residual: bool = False) -> SpectralSummary:
     )
 
 
-_BLOCK = 8  # width of the Gaussian block the start vector is drawn from
-
-
-def _start_vector(n: int) -> np.ndarray:
-    """Deterministic unit start vector for Lanczos: column 0 of an
-    orthonormalised n x min(_BLOCK, n) complex Gaussian block.  The block
-    fixes the draws, so changing its width moves ARPACK's path."""
-    rng = np.random.default_rng(_START_SEED)
-    v = rng.standard_normal((n, min(_BLOCK, n))) + 1j * rng.standard_normal((n, min(_BLOCK, n)))
-    q, _ = np.linalg.qr(v)
-    return q[:, 0]
-
-
 def extreme_singular_values(
     a, tol: float = 1e-11, max_iter: int = 100_000
 ) -> tuple[float, float]:
@@ -139,11 +129,26 @@ def extreme_singular_values(
 
     ``a`` is dense (a ComplexDense or an array, wrapped with
     ``aslinearoperator``) or a ``scipy.sparse.linalg.LinearOperator``; only
-    products with A and A^H are used.  ARPACK ``eigsh`` finds the largest
-    and the smallest eigenvalue of A^H A or A A^H, whichever is smaller,
-    with at most ``max_iter`` restarts per extreme.  A Gram dimension of 1
-    or 2, which ARPACK cannot take, is solved directly from the explicit
-    Gram, and a zero input gives (0.0, 0.0).
+    products with A and A^H are used.  The extremes come from
+    ``gram_extremes`` on A^H A or A A^H, whichever is smaller.
+    """
+    from scipy.sparse.linalg import LinearOperator, aslinearoperator
+
+    op = a if isinstance(a, LinearOperator) else aslinearoperator(_checked(a))
+    rows, cols = op.shape
+    return gram_extremes(op.H @ op if rows >= cols else op @ op.H, tol, max_iter)
+
+
+def gram_extremes(gram, tol: float = 1e-11, max_iter: int = 100_000) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of A from its Gram product G = A^H A or A A^H.
+
+    ``gram`` is a Hermitian positive semidefinite ``LinearOperator``, such
+    as ``core_matrix.figure1_gram``; only matvecs are used.  ARPACK
+    ``eigsh`` finds the largest and the smallest eigenvalue of G from one
+    real start vector, with at most ``max_iter`` restarts per extreme; a
+    real G runs ARPACK's symmetric Lanczos, a complex one its Hermitian
+    driver.  A dimension of 1 or 2, which ARPACK cannot take, is solved
+    directly from the explicit G, and a zero G gives (0.0, 0.0).
 
     sigma_max agrees with ``svd_values`` to about ``tol`` relative.
     sigma_min is the root of a Gram eigenvalue, so rounding can move it by
@@ -156,16 +161,14 @@ def extreme_singular_values(
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, aslinearoperator, eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    op = a if isinstance(a, LinearOperator) else aslinearoperator(_checked(a))
-    rows, cols = op.shape
-    gram = op.H @ op if rows >= cols else op @ op.H
     n = gram.shape[0]
     if n < 3:  # ARPACK's eigsh needs k < n - 1
         lam = np.linalg.eigvalsh(gram @ np.eye(n))
         return math.sqrt(max(float(lam[-1]), 0.0)), math.sqrt(max(float(lam[0]), 0.0))
-    v0 = _start_vector(n)
+    v0 = np.random.default_rng(_START_SEED).standard_normal(n)
+    v0 /= np.linalg.norm(v0)
     w0 = gram.matvec(v0)
     if not np.any(w0):  # a zero input, whose Krylov space ARPACK rejects
         return 0.0, 0.0

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ import pytest
 from fourstab import bounds as bnd
 from fourstab.cli import ConfigError, dispatch, load_config, parse_points, parse_real
 from fourstab.core_matrix import ComplexDense, FrequencySet, build_dft
+from fourstab.experiments import strict_json
 from fourstab.spectral import svd_values
 
 
@@ -57,7 +57,9 @@ class TestSpectralCommand:
     def test_singular_matrix_is_strict_json(self, capsys):
         code, out, _ = run_cli(capsys, "spectral", "--deltas", "0,1/2", "--p", "0,2")
         assert code == 0
-        assert strict_loads(out)["condition"] is None
+        doc = strict_loads(out)
+        assert doc["condition"] is None and doc["condition_nonfinite"] == "inf"
+        assert "residual_nonfinite" not in doc
 
     @pytest.mark.parametrize(
         "data", ['[["a", "b"], [1, 0]]', '[5, [1, 0]]', "5", '[[true, false], [1, 0]]']
@@ -97,17 +99,6 @@ class TestBuildCommand:
         mat = ComplexDense.from_json(out)
         assert mat.rows == 3 and mat.cols == 2
         assert mat.data[2, 1] == 1j
-
-
-def _nulled(obj):
-    """obj with every non-finite float replaced by None, as strict JSON carries it."""
-    if isinstance(obj, dict):
-        return {k: _nulled(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_nulled(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
 
 
 def _instability_doc(n):
@@ -157,7 +148,15 @@ class TestBoundsCommand:
         flags, direct = THEOREM_CASES[theorem]
         code, out, _ = run_cli(capsys, "bounds", "--theorem", theorem, *flags)
         assert code == 0
-        assert _nulled(json.loads(out)) == _nulled(direct())
+        assert strict_loads(out) == json.loads(strict_json(direct()))
+
+    def test_infinite_p_norm_is_named(self, capsys):
+        flags, _ = THEOREM_CASES["weyl-node"]  # --p-norm left at its default, inf
+        code, out, _ = run_cli(capsys, "bounds", "--theorem", "weyl-node", *flags)
+        assert code == 0
+        inputs = strict_loads(out)["inputs"]
+        assert inputs["p"] is None and inputs["p_nonfinite"] == "inf"
+        assert "eps_nonfinite" not in inputs
 
     def test_gated_ell_is_report_not_error(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--theorem", "t3", "--m", "4", "--ell", "0.3")
@@ -374,6 +373,7 @@ class TestExperimentCommand:
         rec = strict_loads(out)["records"][0]
         assert rec["params"]["applicable"] is False
         assert rec["measured"]["sigma_r_pert"] is None
+        assert rec["measured"]["sigma_r_pert_nonfinite"] == "nan"
         path.write_text(json.dumps({**doc, "output": str(out_file)}))
         run_cli(capsys, "experiment", "--config", str(path))
         report = strict_loads(out_file.with_suffix(".csv.report.json").read_text())

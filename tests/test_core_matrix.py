@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 
@@ -18,7 +19,7 @@ from fourstab.core_matrix import (
     build_instability_submatrix,
     build_perturbed_dft_freq,
     build_vandermonde,
-    figure1_operator,
+    figure1_gram,
     rect_lattice_points,
     select_columns,
 )
@@ -365,27 +366,41 @@ class TestFigure1:
             build_figure1(6)
 
 
-class TestFigure1Operator:
-    @pytest.mark.parametrize("n", [3, 5, 11, 101, 1201])
+class TestFigure1Gram:
+    @pytest.mark.parametrize("n", [3, 5, 11, 101, 701, 1201])  # 701 and 1201 are prime
     def test_matches_dense(self, n):
         dense = build_figure1(n).data
-        op = figure1_operator(n)
-        rng = np.random.default_rng(n)
-        x = rng.standard_normal((n, 2)) @ np.array([1.0, 1j])
-        for got, want in ((op.matvec(x), dense @ x), (op.rmatvec(x), dense.conj().T @ x)):
+        gram = figure1_gram(n)
+        x = np.random.default_rng(n).standard_normal(n)
+        want = dense @ (dense.conj().T @ x)
+        for got in (gram.matvec(x), gram.rmatvec(x)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_adjoint_identity(self, rng):
+    def test_real_symmetric(self, rng):
         n = 301
-        op = figure1_operator(n)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        lhs, rhs = np.vdot(y, op.matvec(x)), np.vdot(op.rmatvec(y), x)
-        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+        gram = figure1_gram(n)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        gx, gy = gram.matvec(x), gram.matvec(y)
+        assert gram.dtype == np.float64 and gx.dtype == np.float64
+        assert abs(y @ gx - gy @ x) <= 1e-12 * abs(y @ gx)
+        with pytest.raises(TypeError):
+            gram.matvec(x + 1j * y)
+
+    def test_freed_without_the_cycle_collector(self):
+        # A discarded Gram must not wait for gc.collect() to free its arrays.
+        gc.collect()
+        gc.disable()
+        try:
+            gram = figure1_gram(11)
+            gram.matvec(np.ones(11))
+            del gram
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_even_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            figure1_operator(6)
+            figure1_gram(6)
 
 
 class TestSelectColumns:

@@ -17,13 +17,14 @@ from fourstab.core_matrix import (
     build_figure1,
     build_instability_submatrix,
     build_vandermonde,
-    figure1_operator,
+    figure1_gram,
 )
 from fourstab.experiments import strict_json
 from fourstab.spectral import (
     UnconvergedError,
     condition_number,
     extreme_singular_values,
+    gram_extremes,
     hermitian_eigenvalues,
     numeric_rank,
     svd_values,
@@ -150,7 +151,7 @@ class TestOperatorExtremes:
     @pytest.mark.parametrize("n", [3, 5, 301])
     def test_figure1_matches_full_path(self, n):
         full = svd_values(build_figure1(n))
-        smax, smin = extreme_singular_values(figure1_operator(n))
+        smax, smin = gram_extremes(figure1_gram(n))
         assert abs(smax - full.sigma_max) <= 1e-10 * full.sigma_max
         assert abs(smin - full.sigma_min) <= 1e-10 * full.sigma_max
 
@@ -169,6 +170,26 @@ class TestOperatorExtremes:
             smax, smin = extreme_singular_values(aslinearoperator(mat.data) if wrap else mat)
             assert abs(smax - full.sigma_max) <= 1e-10 * full.sigma_max
             assert abs(smin - full.sigma_min) <= 1e-10 * full.sigma_max
+
+    def test_gram_extremes_tiny_gram(self, rng):
+        for shape in ((7, 1), (7, 2), (2, 9)):
+            mat = random_fourier(rng, *shape).data
+            full = svd_values(ComplexDense(mat))
+            gram = mat.conj().T @ mat if shape[0] >= shape[1] else mat @ mat.conj().T
+            smax, smin = gram_extremes(aslinearoperator(gram))
+            assert abs(smax - full.sigma_max) <= 1e-10 * full.sigma_max
+            assert abs(smin - full.sigma_min) <= 1e-10 * full.sigma_max
+
+    def test_gram_extremes_zero_gram(self):
+        for n in (1, 2, 3, 6):
+            assert gram_extremes(aslinearoperator(np.zeros((n, n)))) == (0.0, 0.0)
+
+    def test_gram_extremes_bad_tolerance(self):
+        bad = ({"tol": 0.0}, {"tol": -1e-11}, {"tol": math.nan}, {"max_iter": 0}, {"max_iter": -3})
+        for gram in (aslinearoperator(np.eye(2)), figure1_gram(5)):
+            for kwargs in bad:
+                with pytest.raises(ValueError, match="tolerance|max_iter"):
+                    gram_extremes(gram, **kwargs)
 
     def test_unconverged_raises_with_payload(self):
         t = np.random.default_rng(7).uniform(0.0, 1.0, 400)
