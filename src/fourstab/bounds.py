@@ -9,7 +9,6 @@ reason rather than an exception.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -69,9 +68,6 @@ class BoundReport:
             "inputs": dict(self.inputs),
             "notes": list(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _not_applicable(theorem: str, reason: str, inputs: Mapping) -> BoundReport:

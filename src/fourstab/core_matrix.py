@@ -12,13 +12,17 @@ and a node u.  The families covered:
 Index conventions are fixed: multi-index sets are enumerated
 lexicographically, torus coordinates are canonicalized into [0, 1).  Phases
 are reduced modulo 1 before calling cos/sin, which keeps entries accurate
-for large frequencies and makes integer-phase entries exact.
+for large frequencies and makes integer-phase entries exact.  The builders
+with rational nodes a/M (``build_dft``, ``build_instability_submatrix``,
+``build_figure1``) reduce their phases exactly in integer arithmetic and read
+the entries from one table of M-th roots of unity.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -92,9 +96,14 @@ def unit_entries(phase: np.ndarray) -> np.ndarray:
     """
     frac = np.mod(np.asarray(phase, dtype=float), 1.0)
     quarter = np.floor(4.0 * frac + 0.5)
-    ang = 2.0 * np.pi * (frac - 0.25 * quarter)
+    return _quarter_turned(frac - 0.25 * quarter, quarter.astype(int))
+
+
+def _quarter_turned(offset: np.ndarray, quarter: np.ndarray) -> np.ndarray:
+    """exp(2*pi*i*(quarter/4 + offset)) for |offset| <= 1/8, exact at offset 0."""
+    ang = 2.0 * np.pi * offset
     c, s = np.cos(ang), np.sin(ang)
-    q = (quarter.astype(int)) % 4
+    q = quarter % 4
     re = np.choose(q, [c, -s, -c, s])
     im = np.choose(q, [s, c, -s, -c])
     return re + 1j * im
@@ -319,6 +328,28 @@ def _fourier_from_arrays(freqs: np.ndarray, nodes: np.ndarray) -> ComplexDense:
     return ComplexDense(unit_entries(phase_matrix(freqs, nodes)))
 
 
+def _roots_of_unity_matrix(freqs: np.ndarray, numerators: np.ndarray, modulus: int) -> ComplexDense:
+    """Entry (j, k) = exp(2*pi*i * f_j . a_k / M) for integer vectors f_j, a_k.
+
+    The nodes are u_k = a_k / M.  The phase index r = f_j . a_k mod M is
+    reduced exactly in int64, each axis term mod M before the sum, so with
+    0 <= f, a < M nothing overflows for M below 3e9.  The entries are then
+    gathered from one table of the M-th roots of unity, folded to the
+    nearest quarter turn in integers as well: 4r = qM + s with |s| <= M/2,
+    so cos/sin see the offset s/(4M), rounded once.  Unlike float phases
+    f . (a / M), this keeps every entry correct to rounding at any size, and
+    where r/M is exact in floating point (M a power of two) the table equals
+    ``unit_entries(r / M)`` bit for bit.
+    """
+    f = np.asarray(freqs, dtype=np.int64)
+    a = np.asarray(numerators, dtype=np.int64)
+    r = sum(np.multiply.outer(f[:, t], a[:, t]) % modulus for t in range(f.shape[1])) % modulus
+    turns = np.arange(modulus, dtype=np.int64)
+    quarter = (8 * turns + modulus) // (2 * modulus)  # floor(4r/M + 1/2), as unit_entries rounds
+    table = _quarter_turned((4 * turns - quarter * modulus) / (4 * modulus), quarter)
+    return ComplexDense(table[r])
+
+
 def build_fourier(freqs: FrequencySet, nodes: NodeSet) -> ComplexDense:
     """F(Omega, U) with entry (j, k) = exp(2*pi*i * w_j . u_k)."""
     if freqs.dim != nodes.dim:
@@ -362,10 +393,15 @@ def build_vandermonde(L: int, nodes: Sequence[float]) -> ComplexDense:
 
 
 def build_dft(m: Sequence[int]) -> ComplexDense:
-    """Unnormalized DFT matrix of size prod(M) for the product lattice."""
-    lattice = rect_lattice_points(m)
-    scale = np.asarray([int(x) for x in m], dtype=float)
-    return _fourier_from_arrays(lattice, lattice / scale)
+    """Unnormalized DFT matrix of size prod(M) for the product lattice.
+
+    Node k/M has the numerators k_t * lcm(M) / M_t over lcm(M), so every
+    entry is an exact lcm(M)-th root of unity.
+    """
+    lattice = rect_lattice_points(m).astype(np.int64)
+    dims = [int(x) for x in m]
+    modulus = math.lcm(*dims)
+    return _roots_of_unity_matrix(lattice, lattice * (modulus // np.asarray(dims)), modulus)
 
 
 def build_perturbed_dft_freq(
@@ -412,33 +448,22 @@ def _require_odd(n: int) -> None:
 def build_instability_submatrix(n: int) -> ComplexDense:
     """Leading n x n submatrix of the (n+1) x (n+1) DFT matrix, n odd."""
     _require_odd(n)
-    j = np.arange(n, dtype=float).reshape(-1, 1)
-    return _fourier_from_arrays(j, j / float(n + 1))
-
-
-def _figure1_shifts(n: int) -> np.ndarray:
-    """Perturbation table e(k), k = 0..n-1, of the figure-1 family (n odd).
-
-    For n = 2m+1: e(0) = 0, e(k) = -1/4 for 1 <= k <= m and e(k) = +1/4 for
-    m+1 <= k <= n-1 (the n-periodic extension of -sign(k)/4 on {-m..m}).
-    """
-    _require_odd(n)
-    mhalf = (n - 1) // 2
-    eps = np.zeros(n)
-    eps[1 : mhalf + 1] = -0.25
-    eps[mhalf + 1 :] = 0.25
-    return eps
+    j = np.arange(n).reshape(-1, 1)
+    return _roots_of_unity_matrix(j, j, n + 1)
 
 
 def build_figure1(n: int) -> ComplexDense:
     """Periodically sign-perturbed DFT: entry (j,k) = exp(2*pi*i*j*(k+e(k))/n).
 
-    The table e(k) is given by ``_figure1_shifts``.
+    For n = 2m+1 (n odd): e(0) = 0, e(k) = -1/4 for 1 <= k <= m and
+    e(k) = +1/4 for m+1 <= k <= n-1 (the n-periodic extension of
+    -sign(k)/4 on {-m..m}).  The node numerators 4k + 4e(k) are integers,
+    so every entry is an exact 4n-th root of unity.
     """
-    eps = _figure1_shifts(n)
-    j = np.arange(n, dtype=float).reshape(-1, 1)
-    cols = ((np.arange(n) + eps) / n).reshape(-1, 1)
-    return _fourier_from_arrays(j, cols)
+    _require_odd(n)
+    k = np.arange(n)
+    numerators = 4 * k + np.where(k == 0, 0, np.where(k <= n // 2, -1, 1))
+    return _roots_of_unity_matrix(k.reshape(-1, 1), numerators.reshape(-1, 1), 4 * n)
 
 
 def figure1_gram(n: int):

@@ -11,7 +11,6 @@ and the aspect ratio.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -106,9 +105,6 @@ class SystemClassification:
             "tol": self.tol,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 @dataclass(frozen=True)
 class ConditionCheck:
@@ -141,9 +137,6 @@ class ClumpDecomposition:
             "hypotheses_ok": self.hypotheses_ok,
             "reasons": list(self.reasons),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def wrap_distance(t: float, s: float) -> float:

@@ -6,14 +6,15 @@ and the residual they give are opt-in), while ``gram_extremes`` runs
 Lanczos (ARPACK ``eigsh``) on a Gram product G = A^H A or A A^H from a
 deterministic real start vector and never calls LAPACK SVD.  G is any
 Hermitian ``scipy.sparse.linalg.LinearOperator``, needing only matvecs and
-O(n) memory: ``core_matrix.figure1_gram`` is the real symmetric Toeplitz
-Gram of the figure-1 family, and ``extreme_singular_values`` forms the
-smaller Gram product of a dense matrix or a ``LinearOperator`` A.
+O(n) memory.  A real G gets both extremes from one symmetric Lanczos run
+(``which="BE"``); a complex G, for which scipy refuses ``"BE"``, gets one
+run per extreme.  ``core_matrix.figure1_gram`` is the real symmetric
+Toeplitz Gram of the figure-1 family, and ``extreme_singular_values``
+forms the smaller Gram product of a dense matrix or a ``LinearOperator`` A.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -34,11 +35,14 @@ __all__ = [
     "CROSSOVER_DIM",
 ]
 
-# Figure-1 sizes up to here get a dense values-only SVD, larger ones Lanczos
-# on the Toeplitz Gram ``figure1_gram``.  Medians of 21 runs with 2 BLAS
-# threads on a 2-vCPU VM: the Gram route takes 1.6-3.7 ms at every n from
-# 31 to 201, the dense build and SVD 1.6-2.2 ms at n = 75, 2.5-3.0 ms at
-# 83, 2.9-3.5 ms at 87 and 19 ms at 201, so they break even near n = 83.
+# Figure-1 sizes up to here get a dense values-only SVD, larger ones one
+# Lanczos run on the Toeplitz Gram ``figure1_gram``.  Medians of 21 runs,
+# 2 BLAS threads, 2-vCPU VM, three passes, dense build + SVD against the
+# Gram route: n = 51: 0.33-0.49 ms vs 0.80-1.26 ms; 75: 1.34-1.59 vs
+# 0.91-1.23; 83: 1.79-1.88 vs 1.06-1.30; 101: 2.97-3.23 vs 0.80-1.17;
+# 151: 6.6-7.9 vs 0.85-1.26.  The Gram route is ahead from about n = 75,
+# but below 83 the two differ by under 1 ms, and a lower value would change
+# the ``method`` column of default figure-1 CSVs, so it stays at 83.
 CROSSOVER_DIM = 83
 _START_SEED = 0x5EED  # deterministic Lanczos start vector
 
@@ -77,9 +81,6 @@ class SpectralSummary:
             "method": self.method,
             "residual": self.residual,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def default_rank_tol(rows: int, cols: int) -> float:
@@ -144,11 +145,13 @@ def gram_extremes(gram, tol: float = 1e-11, max_iter: int = 100_000) -> tuple[fl
 
     ``gram`` is a Hermitian positive semidefinite ``LinearOperator``, such
     as ``core_matrix.figure1_gram``; only matvecs are used.  ARPACK
-    ``eigsh`` finds the largest and the smallest eigenvalue of G from one
-    real start vector, with at most ``max_iter`` restarts per extreme; a
-    real G runs ARPACK's symmetric Lanczos, a complex one its Hermitian
-    driver.  A dimension of 1 or 2, which ARPACK cannot take, is solved
-    directly from the explicit G, and a zero G gives (0.0, 0.0).
+    ``eigsh`` starts from one real start vector, with at most ``max_iter``
+    restarts per run.  A real G gets one symmetric Lanczos run
+    (``which="BE"``, k = 2) for both extremes from one Krylov space.  scipy
+    refuses ``"BE"`` for a complex G, which gets two runs of the Hermitian
+    driver, one for the largest and one for the smallest eigenvalue.  A
+    dimension of 1 or 2, which ARPACK cannot take, is solved directly from
+    the explicit G, and a zero G gives (0.0, 0.0).
 
     sigma_max agrees with ``svd_values`` to about ``tol`` relative.
     sigma_min is the root of a Gram eigenvalue, so rounding can move it by
@@ -164,7 +167,7 @@ def gram_extremes(gram, tol: float = 1e-11, max_iter: int = 100_000) -> tuple[fl
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     n = gram.shape[0]
-    if n < 3:  # ARPACK's eigsh needs k < n - 1
+    if n < 3:  # ARPACK's eigsh needs k < n for a real G (k = 2), k < n - 1 for a complex one
         lam = np.linalg.eigvalsh(gram @ np.eye(n))
         return math.sqrt(max(float(lam[-1]), 0.0)), math.sqrt(max(float(lam[0]), 0.0))
     v0 = np.random.default_rng(_START_SEED).standard_normal(n)
@@ -172,17 +175,19 @@ def gram_extremes(gram, tol: float = 1e-11, max_iter: int = 100_000) -> tuple[fl
     w0 = gram.matvec(v0)
     if not np.any(w0):  # a zero input, whose Krylov space ARPACK rejects
         return 0.0, 0.0
-    extremes = []
-    for which, what in (("LA", "Lanczos (sigma_max)"), ("SA", "Lanczos (sigma_min)")):
+    if np.issubdtype(gram.dtype, np.complexfloating):
+        runs = ((1, "LA", "Lanczos (sigma_max)"), (1, "SA", "Lanczos (sigma_min)"))
+    else:
+        runs = ((2, "BE", "Lanczos (sigma_max, sigma_min)"),)
+    lam = []
+    for k, which, what in runs:
         try:
-            lam = eigsh(gram, k=1, which=which, v0=v0, tol=tol, maxiter=max_iter,
-                        return_eigenvectors=False)[0]
+            lam.extend(eigsh(gram, k=k, which=which, v0=v0, tol=tol, maxiter=max_iter,
+                             return_eigenvectors=False))
         except ArpackNoConvergence as exc:
-            ritz = exc.eigenvalues
-            best = ritz[0] if len(ritz) else np.vdot(v0, w0)
-            raise UnconvergedError(what, math.sqrt(max(float(np.real(best)), 0.0)), max_iter) from exc
-        extremes.append(math.sqrt(max(float(lam), 0.0)))
-    return extremes[0], extremes[1]
+            best = max(np.real(exc.eigenvalues), default=np.vdot(v0, w0).real)
+            raise UnconvergedError(what, math.sqrt(max(float(best), 0.0)), max_iter) from exc
+    return math.sqrt(max(float(max(lam)), 0.0)), math.sqrt(max(float(min(lam)), 0.0))
 
 
 def hermitian_eigenvalues(b: ComplexDense) -> np.ndarray:

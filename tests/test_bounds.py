@@ -16,6 +16,7 @@ from fourstab.bounds import (
     weyl_node_bounds,
 )
 from fourstab.core_matrix import FrequencySet, build_instability_submatrix
+from fourstab.experiments import strict_json
 from fourstab.spectral import condition_number, svd_values
 
 # Frozen via a 30-digit evaluation of the closed forms.
@@ -275,7 +276,7 @@ class TestBoundReportContract:
     def test_json_fields(self):
         import json
 
-        doc = json.loads(dft_freq_bounds((4,), 0.1).to_json())
+        doc = json.loads(strict_json(dft_freq_bounds((4,), 0.1).to_dict()))
         for key in ("theorem", "applicable", "reason", "sigma_min_lower", "sigma_max_upper", "scale", "inputs"):
             assert key in doc
 

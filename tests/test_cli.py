@@ -51,7 +51,7 @@ class TestSpectralCommand:
         assert code == 0
         code, out, _ = run_cli(capsys, "spectral", "--input", str(path))
         assert code == 0
-        direct = svd_values(build_dft((3,)), residual=True).to_json()
+        direct = strict_json(svd_values(build_dft((3,)), residual=True).to_dict())
         assert out.strip() == direct
 
     def test_singular_matrix_is_strict_json(self, capsys):

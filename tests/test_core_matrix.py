@@ -366,6 +366,52 @@ class TestFigure1:
             build_figure1(6)
 
 
+def _phase_index(name, arg):
+    """Exact numerators r of the phases r/M of a DFT-family matrix, and M.
+
+    Written from each family's definition, independently of the builders;
+    every product is below M**2, far inside int64.
+    """
+    if name == "instability":
+        j = np.arange(arg)
+        return np.outer(j, j) % (arg + 1), arg + 1
+    if name == "figure1":  # j * (k + e(k)) / n = j * (4k + 4e(k)) / (4n)
+        n, mhalf = arg, (arg - 1) // 2
+        quarters = [4 * k + (0 if k == 0 else -1 if k <= mhalf else 1) for k in range(n)]
+        return np.outer(np.arange(n), quarters) % (4 * n), 4 * n
+    modulus = math.lcm(*arg)
+    lattice = rect_lattice_points(arg).astype(np.int64)
+    return (lattice @ (lattice * [modulus // m for m in arg]).T) % modulus, modulus
+
+
+_EXACT_FAMILIES = {
+    "instability": build_instability_submatrix,
+    "figure1": build_figure1,
+    "dft": build_dft,
+}
+_EXACT_CASES = [("instability", 255), ("instability", 509), ("figure1", 701), ("figure1", 2001),
+                ("dft", (6, 10)), ("dft", (3, 4, 5))]
+
+
+class TestExactRootsOfUnity:
+    @pytest.mark.parametrize("name, arg", _EXACT_CASES)
+    def test_entries_match_mpmath(self, name, arg):
+        mpmath = pytest.importorskip("mpmath")
+        r, modulus = _phase_index(name, arg)
+        with mpmath.workdps(30):
+            roots = np.array([complex(mpmath.expjpi(mpmath.mpf(2 * t) / modulus)) for t in range(modulus)])
+        got = _EXACT_FAMILIES[name](arg).data
+        assert np.max(np.abs(got - roots[r])) <= 4e-16
+
+    @pytest.mark.parametrize("name, arg", _EXACT_CASES)
+    def test_quarter_phases_exact(self, name, arg):
+        r, modulus = _phase_index(name, arg)
+        quarter = (4 * r) % modulus == 0
+        got = _EXACT_FAMILIES[name](arg).data[quarter]
+        want = np.array([1, 1j, -1, -1j])[4 * r[quarter] // modulus]
+        assert got.size > 0 and np.array_equal(got, want)
+
+
 class TestFigure1Gram:
     @pytest.mark.parametrize("n", [3, 5, 11, 101, 701, 1201])  # 701 and 1201 are prime
     def test_matches_dense(self, n):

@@ -17,6 +17,7 @@ from fourstab.exp_systems import (
     tensor_kadec_condition,
     wrap_distance,
 )
+from fourstab.experiments import strict_json
 from fourstab.spectral import svd_values
 from fourstab.verify import random_spec
 
@@ -282,7 +283,7 @@ class TestClumpDecompose:
     def test_json_serialization(self):
         import json
 
-        doc = json.loads(clump_decompose([0.0, 0.5], L=60, lambda_cap=1).to_json())
+        doc = json.loads(strict_json(clump_decompose([0.0, 0.5], L=60, lambda_cap=1).to_dict()))
         assert set(doc) == {"parts", "r", "lambda_max", "beta", "alpha", "hypotheses_ok", "reasons"}
         assert doc["r"] == 2
 

@@ -201,6 +201,40 @@ class TestOperatorExtremes:
         assert err.value.iterations == 1
         assert math.isfinite(err.value.best_estimate) and err.value.best_estimate > 0
 
+    def test_unconverged_real_gram_raises_with_payload(self):
+        diag = 1.0 + np.random.default_rng(7).uniform(0.0, 1.0, 400) ** 2
+        op = LinearOperator((400, 400), matvec=lambda x: diag * np.ravel(x), dtype=np.float64)
+        with pytest.raises(UnconvergedError) as err:
+            gram_extremes(op, max_iter=1)
+        assert err.value.iterations == 1
+        assert math.isfinite(err.value.best_estimate) and err.value.best_estimate > 0
+
+    def test_real_gram_of_dimension_three(self, rng):
+        b = rng.standard_normal((3, 3))
+        gram = b @ b.T
+        lam = np.linalg.eigvalsh(gram)
+        smax, smin = gram_extremes(aslinearoperator(gram))
+        assert smax == pytest.approx(math.sqrt(lam[-1]), rel=1e-10)
+        assert smin == pytest.approx(math.sqrt(lam[0]), rel=1e-10)
+
+    def test_one_lanczos_run_for_a_real_gram(self, rng, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        calls = []
+        eigsh = sla.eigsh
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["which"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigsh", counted)
+        gram_extremes(figure1_gram(301))
+        assert calls == ["BE"]
+        calls.clear()
+        mat = random_fourier(rng, 40, 12).data
+        gram_extremes(aslinearoperator(mat.conj().T @ mat))
+        assert calls == ["LA", "SA"]
+
 
 def test_import_leaves_sparse_linalg_unloaded():
     code = "import sys, fourstab; print('scipy.sparse.linalg' in sys.modules)"
