@@ -3,9 +3,9 @@
 
 Writes one CSV row (n, kappa, ...) per odd size.  The default grid stops at
 2001; pass --n-max to push further.  Sizes up to --crossover get a dense SVD;
-past it the sweep runs Lanczos on the matrix-free Toeplitz Gram, one
-rfft/irfft pair per product and O(n) memory (about 0.2 s at n = 32001 and
-14 s at n = 1,024,001 on a 2-vCPU machine).
+past it the sweep runs one Lanczos run on the matrix-free Toeplitz Gram,
+one rfft/irfft pair per product and O(n) memory (about 0.4 s at n = 32001
+and 8.5 s at n = 1,024,001 on a 2-vCPU machine).
 """
 
 import argparse

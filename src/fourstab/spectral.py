@@ -148,10 +148,10 @@ def gram_extremes(gram, tol: float = 1e-11, max_iter: int = 100_000) -> tuple[fl
     ``eigsh`` starts from one real start vector, with at most ``max_iter``
     restarts per run.  A real G gets one symmetric Lanczos run
     (``which="BE"``, k = 2) for both extremes from one Krylov space.  scipy
-    refuses ``"BE"`` for a complex G, which gets two runs of the Hermitian
-    driver, one for the largest and one for the smallest eigenvalue.  A
-    dimension of 1 or 2, which ARPACK cannot take, is solved directly from
-    the explicit G, and a zero G gives (0.0, 0.0).
+    refuses ``"BE"`` for a complex G, which gets two runs, one for the
+    largest and one for the smallest eigenvalue.  A dimension of 1 or 2,
+    which ARPACK cannot take, is solved directly from the explicit G, and a
+    zero G gives (0.0, 0.0).
 
     sigma_max agrees with ``svd_values`` to about ``tol`` relative.
     sigma_min is the root of a Gram eigenvalue, so rounding can move it by
