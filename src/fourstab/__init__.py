@@ -19,16 +19,13 @@ from .core_matrix import (
     build_perturbed_dft_freq,
     build_vandermonde,
     figure1_gram,
-    select_columns,
 )
 from .spectral import (
     SpectralSummary,
     UnconvergedError,
-    condition_number,
     extreme_singular_values,
     gram_extremes,
     hermitian_eigenvalues,
-    numeric_rank,
     svd_values,
 )
 from .bounds import (
@@ -52,7 +49,6 @@ from .exp_systems import (
     classify_system,
     clump_decompose,
     gram_matrix,
-    make_rect_lattice,
     separation,
     special_delta_condition,
     tensor_kadec_condition,

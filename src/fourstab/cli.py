@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -115,11 +115,7 @@ _COMMON_FIELDS = {
 # Experiment name -> (required fields: type, optional fields: (type, default),
 # run(params, sweep_config) returning the records, or a report dict for benchmark).
 _EXPERIMENTS = {
-    "figure1": (
-        {"n_list": _INTS},
-        {"crossover": (_INT, exp.CROSSOVER_DIM)},
-        lambda p, c: exp.figure1_sweep(p["n_list"], replace(c, crossover=p["crossover"])),
-    ),
+    "figure1": ({"n_list": _INTS}, {}, lambda p, c: exp.figure1_sweep(p["n_list"], c)),
     "freq_stability": (
         {"m": _INTS, "ell_grid": _REALS},
         {"rank_one": (_BOOL, False)},
@@ -356,7 +352,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_mod.run_all(seed=args.seed)
+    results = verify_mod.run_all(seed=_checked("seed", args.seed, _SEED))
     failures = 0
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
@@ -366,15 +362,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = _checked("seed", args.seed, _COMMON_FIELDS["seed"][0])
-        if args.trials is not None:
-            cfg.params["trials"] = _checked("trials", args.trials, _COMMON_FIELDS["trials"][0])
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg.seed = _checked("seed", args.seed, _SEED)
+    if args.trials is not None:
+        cfg.params["trials"] = _checked("trials", args.trials, _POSITIVE_INT)
     if args.out is not None:
         cfg.output = args.out
     if args.format is not None:
@@ -399,6 +391,9 @@ def dispatch(argv: list[str]) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
+    except ConfigError as exc:  # a usage error, not a failed computation
+        print(str(exc), file=sys.stderr)
+        return 2
     except (ValueError, KeyError, OSError, ArithmeticError, RuntimeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "build_instability_submatrix",
     "build_figure1",
     "figure1_gram",
-    "select_columns",
     "rect_lattice_points",
 ]
 
@@ -307,14 +306,6 @@ class PerturbationMap:
             return self.general_table[key]
         return np.array([self.axis_tables[t][key[t]] for t in range(self.dim)])
 
-    def covers(self, indices: Iterable[Sequence[int]]) -> bool:
-        try:
-            for idx in indices:
-                self.value(idx)
-        except KeyError:
-            return False
-        return True
-
 
 def rect_lattice_points(m: Sequence[int]) -> np.ndarray:
     """Integer points of [0, M_1) x ... x [0, M_d), lexicographic order."""
@@ -404,40 +395,22 @@ def build_dft(m: Sequence[int]) -> ComplexDense:
     return _roots_of_unity_matrix(lattice, lattice * (modulus // np.asarray(dims)), modulus)
 
 
-def build_perturbed_dft_freq(
-    m: Sequence[int],
-    eps: PerturbationMap,
-    node_subset: NodeSet | None = None,
-) -> ComplexDense:
-    """F(Omega', U) where Omega' = {j + eps(j)} perturbs the DFT lattice.
+def build_perturbed_dft_freq(m: Sequence[int], eps: PerturbationMap) -> ComplexDense:
+    """F(Omega', U) where Omega' = {j + eps(j)} perturbs the DFT lattice and
+    U is the node lattice {k/M}.
 
-    U defaults to the full node lattice {k/M}; a proper subset selects
-    columns.  Perturbed frequencies may collide, in which case the result
-    is rank deficient (a legitimate object of study).
+    Perturbed frequencies may collide, in which case the result is rank
+    deficient (a legitimate object of study).
     """
     dims = [int(x) for x in m]
     lattice = rect_lattice_points(dims)
     if eps.dim != len(dims):
         raise ValueError(f"perturbation dimension {eps.dim} != lattice dimension {len(dims)}")
-    if not eps.covers(lattice.astype(int)):
-        raise ValueError("perturbation does not cover the frequency lattice")
-    shifts = np.array([eps.value(idx) for idx in lattice.astype(int)])
-    freqs = lattice + shifts
-
-    scale = np.asarray(dims, dtype=float)
-    full_nodes = lattice / scale
-    if node_subset is None:
-        nodes = full_nodes
-    else:
-        if node_subset.dim != len(dims):
-            raise ValueError("node subset has wrong dimension")
-        for u in node_subset.points:
-            gaps = np.abs(full_nodes - u[None, :])
-            wrap = np.minimum(gaps, 1.0 - gaps).max(axis=1)
-            if wrap.min() > 1e-12:
-                raise ValueError(f"node {tuple(u)} is not on the lattice {{k/M}}")
-        nodes = node_subset.points
-    return _fourier_from_arrays(freqs, nodes)
+    try:
+        shifts = np.array([eps.value(idx) for idx in lattice.astype(int)])
+    except KeyError as exc:
+        raise ValueError("perturbation does not cover the frequency lattice") from exc
+    return _fourier_from_arrays(lattice + shifts, lattice / np.asarray(dims, dtype=float))
 
 
 def _require_odd(n: int) -> None:
@@ -498,13 +471,3 @@ def figure1_gram(n: int):
 
     return LinearOperator((n, n), matvec=matvec, rmatvec=matvec, dtype=np.float64)
 
-
-def select_columns(a: ComplexDense, idx: Sequence[int]) -> ComplexDense:
-    """Column submatrix of ``a`` preserving the order of ``idx``."""
-    cols = [int(i) for i in idx]
-    if len(set(cols)) != len(cols):
-        raise ValueError(f"column indices must be distinct, got {cols}")
-    for i in cols:
-        if not 0 <= i < a.cols:
-            raise ValueError(f"column index {i} out of range [0, {a.cols})")
-    return ComplexDense(a.data[:, cols], notes=a.notes)

@@ -23,7 +23,6 @@ from .core_matrix import (
     NodeSet,
     PerturbationMap,
     build_gamma,
-    rect_lattice_points,
     torus_canonical,
     unit_entries,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "KIND_DEGENERATE",
     "wrap_distance",
     "separation",
-    "make_rect_lattice",
     "classify_system",
     "special_delta_condition",
     "tensor_kadec_condition",
@@ -155,13 +153,14 @@ def separation(u: Sequence[float]) -> float:
     )
 
 
-def make_rect_lattice(m: Sequence[int]) -> FrequencySet:
-    """Integer lattice of the rectangle [0,M_1) x ... x [0,M_d)."""
-    return FrequencySet(rect_lattice_points(m))
-
-
 def classify_system(spec: ExponentialSystemSpec, tol: float | None = None) -> SystemClassification:
-    """Classify the system via the rank and extremes of G(Delta, P)."""
+    """Classify the system via the rank and extremes of G(Delta, P).
+
+    The rank counts the singular values above ``tol`` * sigma_1; ``tol``
+    must lie in (0, 1) and defaults to ``default_rank_tol``.
+    """
+    if tol is not None and not 0.0 < tol < 1.0:
+        raise ValueError(f"relative tolerance must lie in (0, 1), got {tol}")
     gamma = build_gamma(spec.deltas, spec.p)
     if tol is None:
         tol = default_rank_tol(gamma.rows, gamma.cols)

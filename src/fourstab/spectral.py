@@ -1,4 +1,4 @@
-"""Singular values, Hermitian eigenvalues, rank and condition numbers.
+"""Singular values, condition numbers and Hermitian eigenvalues.
 
 Two independent routes are provided and cross-validated in the test suite:
 ``svd_values`` goes through a dense values-only SVD (the singular vectors
@@ -29,8 +29,6 @@ __all__ = [
     "extreme_singular_values",
     "gram_extremes",
     "hermitian_eigenvalues",
-    "numeric_rank",
-    "condition_number",
     "default_rank_tol",
     "CROSSOVER_DIM",
 ]
@@ -200,20 +198,3 @@ def hermitian_eigenvalues(b: ComplexDense) -> np.ndarray:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
     return np.linalg.eigvalsh(mat)[::-1]
 
-
-def numeric_rank(a: ComplexDense, rel_tol: float | None = None) -> int:
-    """Number of singular values above rel_tol * sigma_1."""
-    mat = _checked(a)
-    if rel_tol is None:
-        rel_tol = default_rank_tol(*mat.shape)
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"relative tolerance must lie in (0, 1), got {rel_tol}")
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
-
-
-def condition_number(a: ComplexDense) -> float:
-    """sigma_max / sigma_min, or +inf when numerically singular."""
-    return svd_values(a).condition

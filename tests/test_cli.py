@@ -194,6 +194,13 @@ class TestClassifyCommand:
         code, out, _ = run_cli(capsys, "classify", "--deltas", "0,1/2", "--p", "0,2")
         assert json.loads(out)["kind"] == "Degenerate"
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "1", "2", "nan"])
+    def test_tolerance_outside_unit_interval_exits_one(self, capsys, tol):
+        code, out, err = run_cli(capsys, "classify", "--deltas", "0,0.5", "--p", "0,1", f"--tol={tol}")
+        assert code == 1
+        assert out == ""
+        assert "tolerance" in strict_loads(err)["message"]
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
@@ -255,6 +262,7 @@ class TestLoadConfig:
                 "constants",
             ),
             ({"experiment": "figure1", "n_list": [3], "output": 5}, "output"),
+            ({"experiment": "figure1", "n_list": [3], "crossover": 5}, "crossover"),
         ],
     )
     def test_mistyped_or_unknown_field_exits_two(self, capsys, tmp_path, doc, field_name):
@@ -343,11 +351,19 @@ class TestExperimentCommand:
         assert out_a.exists() and out_b.exists()
         assert len(out_b.read_text().splitlines()) == len(out_a.read_text().splitlines()) + 2
 
-    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--seed", "-1")])
-    def test_bad_override_exits_two(self, capsys, tmp_path, flag, value):
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            pytest.param("experiment", "--trials", "0", id="--trials-0"),
+            pytest.param("experiment", "--seed", "-1", id="--seed--1"),
+            pytest.param("verify", "--seed", "-1", id="verify---seed--1"),
+        ],
+    )
+    def test_bad_override_exits_two(self, capsys, tmp_path, command, flag, value):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"command": "experiment", "experiment": "wellsep", "L_grid": [16]}))
-        code, out, err = run_cli(capsys, "experiment", "--config", str(path), flag, value)
+        argv = ["experiment", "--config", str(path)] if command == "experiment" else [command]
+        code, out, err = run_cli(capsys, *argv, flag, value)
         assert code == 2
         assert repr(flag[2:]) in err
         assert out == ""

@@ -21,7 +21,6 @@ from fourstab.core_matrix import (
     build_vandermonde,
     figure1_gram,
     rect_lattice_points,
-    select_columns,
 )
 
 
@@ -179,7 +178,6 @@ class TestPerturbationMap:
         eps = PerturbationMap.general({0: 0.1})
         with pytest.raises(KeyError):
             eps.value((3,))
-        assert not eps.covers([(0,), (3,)])
 
 
 class TestBuildFourier:
@@ -295,6 +293,8 @@ class TestBuildDft:
     def test_lattice_lexicographic(self):
         pts = rect_lattice_points((2, 2))
         assert pts.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        assert rect_lattice_points((2,)).tolist() == [[0], [1]]
+        assert rect_lattice_points((3, 1)).tolist() == [[0, 0], [1, 0], [2, 0]]
 
 
 class TestBuildPerturbedDftFreq:
@@ -310,18 +310,6 @@ class TestBuildPerturbedDftFreq:
         nodes = np.array([0.0, 0.5])
         expected = np.exp(2j * np.pi * freqs[:, None] * nodes[None, :])
         assert np.allclose(mat.data, expected, atol=1e-14)
-
-    def test_node_subset_columns(self):
-        eps = PerturbationMap.general({k: 0.0 for k in range(3)})
-        mat = build_perturbed_dft_freq((3,), eps, node_subset=NodeSet([0.0, 1 / 3]))
-        s = np.linalg.svd(mat.data, compute_uv=False)
-        assert mat.data.shape == (3, 2)
-        assert np.allclose(s, math.sqrt(3), atol=1e-12)
-
-    def test_off_lattice_subset_rejected(self):
-        eps = PerturbationMap.general({k: 0.0 for k in range(3)})
-        with pytest.raises(ValueError, match="lattice"):
-            build_perturbed_dft_freq((3,), eps, node_subset=NodeSet([0.1]))
 
     def test_uncovered_lattice_rejected(self):
         eps = PerturbationMap.general({0: 0.0, 1: 0.0})
@@ -447,34 +435,6 @@ class TestFigure1Gram:
     def test_even_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             figure1_gram(6)
-
-
-class TestSelectColumns:
-    def test_identity_columns(self):
-        eye = ComplexDense(np.eye(3, dtype=complex))
-        sub = select_columns(eye, [0, 2])
-        assert np.array_equal(sub.data, np.eye(3, dtype=complex)[:, [0, 2]])
-
-    def test_shape_differs_from_submatrix(self):
-        sub = select_columns(build_dft((4,)), [0, 1, 2])
-        assert sub.data.shape == (4, 3)
-        assert build_instability_submatrix(3).data.shape == (3, 3)
-
-    def test_orthogonal_pair(self):
-        sub = select_columns(build_dft((4,)), [0, 2])
-        s = np.linalg.svd(sub.data, compute_uv=False)
-        assert np.allclose(s, 2.0, atol=1e-12)
-
-    def test_bad_indices(self):
-        mat = build_dft((3,))
-        with pytest.raises(ValueError, match="range"):
-            select_columns(mat, [0, 3])
-        with pytest.raises(ValueError, match="distinct"):
-            select_columns(mat, [1, 1])
-
-    def test_notes_preserved(self):
-        mat = build_vandermonde(3, [0.25, 1.25])
-        assert select_columns(mat, [0]).notes == mat.notes
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,7 +11,6 @@ from fourstab.exp_systems import (
     classify_system,
     clump_decompose,
     gram_matrix,
-    make_rect_lattice,
     separation,
     special_delta_condition,
     tensor_kadec_condition,
@@ -50,19 +49,6 @@ class TestSeparation:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             separation([0.3])
-
-
-class TestMakeRectLattice:
-    def test_one_dim(self):
-        assert make_rect_lattice((2,)).points.ravel().tolist() == [0.0, 1.0]
-
-    def test_two_dim_lexicographic(self):
-        pts = make_rect_lattice((2, 2)).points.tolist()
-        assert pts == [[0, 0], [0, 1], [1, 0], [1, 1]]
-
-    def test_degenerate_axis(self):
-        pts = make_rect_lattice((3, 1)).points.tolist()
-        assert pts == [[0, 0], [1, 0], [2, 0]]
 
 
 class TestClassifySystem:

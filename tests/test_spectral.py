@@ -16,17 +16,15 @@ from fourstab.core_matrix import (
     build_gamma,
     build_figure1,
     build_instability_submatrix,
-    build_vandermonde,
     figure1_gram,
 )
+from fourstab.exp_systems import ExponentialSystemSpec, classify_system
 from fourstab.experiments import strict_json
 from fourstab.spectral import (
     UnconvergedError,
-    condition_number,
     extreme_singular_values,
     gram_extremes,
     hermitian_eigenvalues,
-    numeric_rank,
     svd_values,
 )
 
@@ -266,36 +264,39 @@ class TestHermitianEigenvalues:
 
 
 class TestNumericRank:
+    """The rank ``classify_system`` reports: singular values of G(Delta, P)
+    above tol * sigma_1."""
+
+    @staticmethod
+    def rank(deltas, p, tol=1e-10):
+        return classify_system(ExponentialSystemSpec(NodeSet(deltas), FrequencySet(p)), tol).rank
+
     def test_rank_one(self):
-        assert numeric_rank(ComplexDense(np.ones((2, 2), dtype=complex)), 1e-10) == 1
+        # every entry of this 3 x 2 G(Delta, P) is 1
+        assert self.rank([0.0, 1 / 3, 2 / 3], [0, 3]) == 1
 
     def test_orthogonal_columns(self):
-        assert numeric_rank(build_vandermonde(4, [0.0, 0.5]), 1e-10) == 2
+        # G(Delta, P) transposed is V(4, {0, 1/2}), whose two columns are orthogonal
+        assert self.rank([0.0, 0.5], [0, 1, 2, 3]) == 2
 
     def test_degenerate_gamma(self):
-        gamma = build_gamma(NodeSet([0.0, 0.5]), FrequencySet([0, 2]))
-        assert numeric_rank(gamma, 1e-10) == 1
+        assert self.rank([0.0, 0.5], [0, 2]) == 1
 
     def test_tolerance_validation(self):
-        mat = build_dft((2,))
-        with pytest.raises(ValueError):
-            numeric_rank(mat, 0.0)
-        with pytest.raises(ValueError):
-            numeric_rank(mat, 1.5)
-
-    def test_zero_matrix_rank_zero(self):
-        assert numeric_rank(ComplexDense(np.zeros((2, 2), dtype=complex)), 1e-10) == 0
+        for tol in (0.0, -1.0, 1.0, 2.0, math.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                self.rank([0.0, 0.5], [0, 1], tol)
 
 
 class TestConditionNumber:
     def test_dft_is_one(self):
-        assert condition_number(build_dft((5,))) == pytest.approx(1.0, rel=1e-12)
+        assert svd_values(build_dft((5,))).condition == pytest.approx(1.0, rel=1e-12)
 
     def test_instability_15(self):
-        assert condition_number(build_instability_submatrix(15)) == pytest.approx(4.0, rel=1e-10)
+        assert svd_values(build_instability_submatrix(15)).condition == pytest.approx(4.0, rel=1e-10)
 
     def test_zero_matrix_infinite(self):
-        assert condition_number(ComplexDense(np.zeros((2, 2), dtype=complex))) == math.inf
+        assert svd_values(ComplexDense(np.zeros((2, 2), dtype=complex))).condition == math.inf
 
 
 class TestCrossChecks:
