@@ -183,7 +183,7 @@ def dft_freq_bounds(m: Sequence[int], ell: float, rank_one: bool = False) -> Bou
 
 def _conjugate_exponent(p: float) -> float:
     """1/p' = 1 - 1/p for p in [1, inf]; returns the exponent 1/p'."""
-    if p != math.inf and p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"p must lie in [1, inf], got {p}")
     if p == math.inf:
         return 1.0
@@ -204,10 +204,10 @@ def weyl_freq_bounds(
     sigma_N(F') >= sigma_N(F) - pi d^(1/p') sqrt(LN) eps and symmetrically
     for sigma_1; a Frobenius-norm estimate, loose but assumption-free.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:  # NaN fails every comparison, so it is rejected here too
         raise ValueError(f"perturbation size must be nonnegative, got {eps}")
-    if sigma_n > sigma_1:
-        raise ValueError(f"need sigma_n <= sigma_1, got {sigma_n} > {sigma_1}")
+    if not sigma_n <= sigma_1:
+        raise ValueError(f"need sigma_n <= sigma_1, got {sigma_n} and {sigma_1}")
     expo = _conjugate_exponent(p)
     shift = math.pi * d**expo * math.sqrt(L * N) * eps
     notes: list[str] = []
@@ -237,10 +237,10 @@ def weyl_node_bounds(
     Uses the constant 2 pi sqrt(sum_j ||w_j||_{p'}^2) over the frequency
     rows; the allowable eps therefore shrinks as frequencies grow.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:  # NaN fails every comparison, so it is rejected here too
         raise ValueError(f"perturbation size must be nonnegative, got {eps}")
-    if sigma_n > sigma_1:
-        raise ValueError(f"need sigma_n <= sigma_1, got {sigma_n} > {sigma_1}")
+    if not sigma_n <= sigma_1:
+        raise ValueError(f"need sigma_n <= sigma_1, got {sigma_n} and {sigma_1}")
     expo = _conjugate_exponent(p)
     p_conj = math.inf if p == 1.0 else (1.0 if p == math.inf else p / (p - 1.0))
     norms = np.array([np.linalg.norm(row, ord=p_conj) for row in omega.points])

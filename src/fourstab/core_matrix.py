@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -249,62 +249,60 @@ class NodeSet:
 
 @dataclass(frozen=True, eq=False)
 class PerturbationMap:
-    """Perturbation of a frequency lattice, general or rank-one.
+    """Perturbation eps of the frequency lattice [0, M_1) x ... x [0, M_d).
 
-    In rank-one mode the value at a multi-index n is assembled per axis as
-    (a_1(n_1), ..., a_d(n_d)); only one component changes when a single
+    General: ``values`` is a (P, d) array (or (P,) when d = 1) whose row k
+    is eps at lattice point k in ``rect_lattice_points`` order.  Rank-one:
+    ``axis_values`` holds one 1-D array a_t per axis and eps(n) is
+    (a_1[n_1], ..., a_d[n_d]); only one component changes when a single
     entry of n changes.  ``sup_norm`` is the max absolute stored component.
     """
 
-    dim: int
-    mode: str
-    general_table: Mapping[tuple[int, ...], np.ndarray] | None = None
-    axis_tables: tuple[Mapping[int, float], ...] | None = None
+    values: np.ndarray | None = None
+    axis_values: tuple[np.ndarray, ...] | None = None
     sup_norm: float = field(init=False)
 
     def __post_init__(self):
-        if self.mode not in ("general", "rank_one"):
-            raise ValueError(f"unknown perturbation mode {self.mode!r}")
-        if self.mode == "general":
-            if not self.general_table:
-                raise ValueError("general perturbation requires a nonempty table")
-            sup = max(float(np.max(np.abs(v))) for v in self.general_table.values())
+        if (self.values is None) == (self.axis_values is None):
+            raise ValueError("perturbation requires exactly one of values (general) or axis_values (rank-one)")
+        if self.values is None:
+            arrays = tuple(np.array(a, dtype=float) for a in self.axis_values)
+            if not arrays or any(a.ndim != 1 for a in arrays):
+                raise ValueError("rank-one perturbation requires one 1-D array per axis")
+            object.__setattr__(self, "axis_values", arrays)
         else:
-            if self.axis_tables is None or len(self.axis_tables) != self.dim:
-                raise ValueError("rank-one perturbation requires one table per axis")
-            sup = 0.0
-            for table in self.axis_tables:
-                if table:
-                    sup = max(sup, max(abs(float(v)) for v in table.values()))
-        object.__setattr__(self, "sup_norm", sup)
+            arrays = (_as_point_array(self.values, "general perturbation"),)
+            object.__setattr__(self, "values", arrays[0])
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError("perturbation values must be finite")
+        object.__setattr__(self, "sup_norm", max((float(np.abs(a).max()) for a in arrays if a.size), default=0.0))
 
     @classmethod
-    def general(cls, table: Mapping, dim: int | None = None) -> "PerturbationMap":
-        norm: dict[tuple[int, ...], np.ndarray] = {}
-        for key, val in table.items():
-            k = (int(key),) if np.isscalar(key) else tuple(int(x) for x in key)
-            v = np.atleast_1d(np.asarray(val, dtype=float))
-            if dim is None:
-                dim = len(v)
-            if len(k) != dim or len(v) != dim:
-                raise ValueError(f"perturbation entry {key!r} has wrong dimension")
-            norm[k] = v
-        return cls(dim=dim, mode="general", general_table=norm)
+    def general(cls, values) -> "PerturbationMap":
+        return cls(values=values)
 
     @classmethod
-    def rank_one(cls, axis_tables: Sequence[Mapping[int, float]]) -> "PerturbationMap":
-        tables = tuple({int(k): float(v) for k, v in t.items()} for t in axis_tables)
-        return cls(dim=len(tables), mode="rank_one", axis_tables=tables)
+    def rank_one(cls, axis_values) -> "PerturbationMap":
+        return cls(axis_values=tuple(axis_values))
 
-    def value(self, index: Sequence[int]) -> np.ndarray:
-        key = tuple(int(x) for x in index)
-        if len(key) != self.dim:
-            raise ValueError(f"index {key} has wrong dimension (expected {self.dim})")
-        if self.mode == "general":
-            if key not in self.general_table:
-                raise KeyError(f"perturbation undefined at {key}")
-            return self.general_table[key]
-        return np.array([self.axis_tables[t][key[t]] for t in range(self.dim)])
+    @property
+    def dim(self) -> int:
+        return len(self.axis_values) if self.values is None else self.values.shape[1]
+
+    def shifts(self, m: Sequence[int]) -> np.ndarray:
+        """eps at every point of the lattice with sides ``m``, as a (P, d)
+        array in ``rect_lattice_points`` order."""
+        dims = [int(x) for x in m]
+        if self.values is None:
+            covered = [a.size for a in self.axis_values] == dims
+        else:
+            covered = self.values.shape == (math.prod(dims), len(dims))
+        if not covered:
+            raise ValueError(f"perturbation does not cover the frequency lattice {dims}")
+        if self.values is not None:
+            return self.values
+        grids = np.meshgrid(*self.axis_values, indexing="ij")
+        return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
 def rect_lattice_points(m: Sequence[int]) -> np.ndarray:
@@ -404,13 +402,7 @@ def build_perturbed_dft_freq(m: Sequence[int], eps: PerturbationMap) -> ComplexD
     """
     dims = [int(x) for x in m]
     lattice = rect_lattice_points(dims)
-    if eps.dim != len(dims):
-        raise ValueError(f"perturbation dimension {eps.dim} != lattice dimension {len(dims)}")
-    try:
-        shifts = np.array([eps.value(idx) for idx in lattice.astype(int)])
-    except KeyError as exc:
-        raise ValueError("perturbation does not cover the frequency lattice") from exc
-    return _fourier_from_arrays(lattice + shifts, lattice / np.asarray(dims, dtype=float))
+    return _fourier_from_arrays(lattice + eps.shifts(dims), lattice / np.asarray(dims, dtype=float))
 
 
 def _require_odd(n: int) -> None:

@@ -137,20 +137,29 @@ class ClumpDecomposition:
         }
 
 
-def wrap_distance(t: float, s: float) -> float:
-    """Distance on the circle: min over integers n of |t - s - n|."""
-    r = (t - s) % 1.0
-    return min(r, 1.0 - r)
+def wrap_distance(t, s):
+    """Distance on the circle: min over integers n of |t - s - n|, elementwise
+    over arrays (``np.mod`` is Python's ``%`` for floats)."""
+    r = np.mod(t - s, 1.0)
+    return np.minimum(r, 1.0 - r)
 
 
 def separation(u: Sequence[float]) -> float:
-    """Minimum pairwise wrap distance of a node list."""
-    xs = list(u)
-    if len(xs) < 2:
+    """Minimum pairwise wrap distance of a node list, in O(n log n).
+
+    The closest pair is always a pair of neighbours on the sorted circle, so
+    only those n pairs are measured, each as ``wrap_distance(u[i], u[j])``
+    with i < j: the result equals the minimum over all pairs bit for bit.
+    """
+    xs = np.asarray(u, dtype=float)
+    if xs.ndim != 1 or xs.size < 2:
         raise ValueError("separation needs at least two nodes")
-    return min(
-        wrap_distance(xs[i], xs[j]) for i in range(len(xs)) for j in range(i + 1, len(xs))
-    )
+    if not np.isfinite(xs).all():
+        raise ValueError("nodes must be finite")
+    ring = np.argsort(np.mod(xs, 1.0))
+    ring = np.concatenate((ring, ring[:1]))
+    first, second = np.minimum(ring[:-1], ring[1:]), np.maximum(ring[:-1], ring[1:])
+    return float(wrap_distance(xs[first], xs[second]).min())
 
 
 def classify_system(spec: ExponentialSystemSpec, tol: float | None = None) -> SystemClassification:
@@ -185,27 +194,30 @@ def classify_system(spec: ExponentialSystemSpec, tol: float | None = None) -> Sy
     )
 
 
-def _near_integer(x: float) -> bool:
-    return abs(x - round(x)) <= INTEGRALITY_TOL
+def _near_integer(x: np.ndarray) -> np.ndarray:
+    return np.abs(x - np.rint(x)) <= INTEGRALITY_TOL
 
 
 def special_delta_condition(delta: Sequence[float], p: FrequencySet) -> ConditionCheck:
     """True iff <p_k - p_k', delta> is never an integer for k != k'.
 
-    On failure the witness is the offending pair of points of P.
+    On failure the witness is the first offending pair (k < k') of points
+    of P, in row-major order.
     """
     d = np.atleast_1d(np.asarray(delta, dtype=float))
     if not p.integer_flag:
         raise ValueError("P must consist of integer vectors")
     if d.size != p.dim:
         raise ValueError(f"delta has dimension {d.size}, P has dimension {p.dim}")
+    if not np.all(np.isfinite(d)):
+        raise ValueError(f"delta must be finite, got {d.tolist()}")
     pts = p.points
-    for k in range(p.count):
-        for k2 in range(k + 1, p.count):
-            val = float(np.dot(pts[k] - pts[k2], d))
-            if _near_integer(val):
-                return ConditionCheck(False, witness=(tuple(pts[k]), tuple(pts[k2])))
-    return ConditionCheck(True)
+    vals = (pts[:, None, :] - pts[None, :, :]) @ d
+    bad = np.triu(_near_integer(vals), 1)
+    if not bad.any():
+        return ConditionCheck(True)
+    k, k2 = np.argwhere(bad)[0]
+    return ConditionCheck(False, witness=(tuple(pts[k]), tuple(pts[k2])))
 
 
 def tensor_kadec_condition(m: Sequence[int], eps: PerturbationMap) -> ConditionCheck:
@@ -213,25 +225,22 @@ def tensor_kadec_condition(m: Sequence[int], eps: PerturbationMap) -> ConditionC
 
     True iff for every axis k and every i != j in 0..M_k-1 the quantity
     (j - i + eps_k(j) - eps_k(i)) / M_k is not an integer.  The witness on
-    failure is (axis, i, j) with the axis 1-based.
+    failure is the first (axis, i, j) in row-major order, with the axis
+    1-based.
     """
     dims = [int(x) for x in m]
-    if eps.mode != "rank_one":
+    if eps.axis_values is None:
         raise ValueError("condition applies to rank-one perturbations only")
-    if eps.dim != len(dims):
-        raise ValueError(f"perturbation dimension {eps.dim} != lattice dimension {len(dims)}")
-    for axis, mk in enumerate(dims):
-        table = eps.axis_tables[axis]
-        for i in range(mk):
-            if i not in table:
-                raise ValueError(f"axis {axis + 1} perturbation undefined at index {i}")
-        for i in range(mk):
-            for j in range(mk):
-                if i == j:
-                    continue
-                val = (j - i + table[j] - table[i]) / mk
-                if _near_integer(val):
-                    return ConditionCheck(False, witness=(axis + 1, i, j))
+    if [a.size for a in eps.axis_values] != dims:
+        raise ValueError(f"perturbation does not cover the frequency lattice {dims}")
+    for axis, (mk, a) in enumerate(zip(dims, eps.axis_values)):
+        steps = np.arange(mk)
+        vals = ((steps - steps[:, None]) + a - a[:, None]) / mk  # row i, column j
+        bad = _near_integer(vals)
+        np.fill_diagonal(bad, False)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            return ConditionCheck(False, witness=(axis + 1, int(i), int(j)))
     return ConditionCheck(True)
 
 
@@ -248,14 +257,15 @@ def gram_matrix(spec: ExponentialSystemSpec) -> ComplexDense:
     return ComplexDense(np.sum(unit_entries(phases), axis=0))
 
 
-def _part_diameter(part: Sequence[float]) -> float:
-    if len(part) < 2:
-        return 0.0
-    return max(
-        wrap_distance(part[i], part[j])
-        for i in range(len(part))
-        for j in range(i + 1, len(part))
-    )
+def _arc_diameter(arc: np.ndarray) -> float:
+    """Largest wrap distance between two nodes of an arc in circular order:
+    the node farthest from x is one of the two around its antipode x + 1/2,
+    measured as ``wrap_distance(arc[i], arc[j])`` with i <= j."""
+    offsets = np.mod(arc - arc[0], 1.0)  # nondecreasing along the arc
+    steps = np.arange(arc.size)
+    past = np.searchsorted(offsets, offsets + 0.5)
+    near = np.concatenate((past - 1, np.minimum(past, arc.size - 1)))
+    return float(np.max(wrap_distance(arc[np.concatenate((steps, steps))], arc[near])))
 
 
 def clump_decompose(u: Sequence[float], L: int, lambda_cap: int) -> ClumpDecomposition:
@@ -265,60 +275,55 @@ def clump_decompose(u: Sequence[float], L: int, lambda_cap: int) -> ClumpDecompo
     starting the circular walk after the largest gap.  The result records
     the part structure, the inter-part distance beta, the overall
     separation alpha, and whether the localization hypotheses hold
-    (|part| <= lambda, beta >= 3*lambda/L, max diameter < beta).
+    (|part| <= lambda, beta >= 3*lambda/L, max diameter < beta).  The parts
+    are arcs of the circle, so beta is the least distance across a cut and a
+    diameter comes from the arc's ends (or, past half the circle, from its
+    antipodal pairs): all in O(n log n).
     """
     if L < 1:
         raise ValueError(f"row count must be >= 1, got {L}")
     if lambda_cap < 1:
         raise ValueError(f"cluster size cap must be >= 1, got {lambda_cap}")
-    raw = np.asarray(list(u), dtype=float)
+    raw = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(raw)):
         raise ValueError("nodes must be finite")
     xs = np.sort(torus_canonical(raw))
     n = xs.size
     if n < 1:
         raise ValueError("need at least one node")
-    if len(set(xs.tolist())) != n:
+    if np.any(xs[1:] == xs[:-1]):
         raise ValueError("nodes must be distinct modulo 1")
 
     threshold = 3.0 * lambda_cap / L
-    if n == 1:
-        parts: list[list[float]] = [[float(xs[0])]]
-    else:
-        gaps = np.mod(np.roll(xs, -1) - xs, 1.0)  # gap after xs[i], wrapping
-        start = (int(np.argmax(gaps)) + 1) % n
-        parts = [[]]
-        for step in range(n):
-            i = (start + step) % n
-            parts[-1].append(float(xs[i]))
-            if gaps[i] >= threshold and step < n - 1:
-                parts.append([])
-        if gaps.max() < threshold:
-            parts = [[float(x) for x in xs]]
-
-    part_tuples = tuple(tuple(p) for p in parts)
+    gaps = np.concatenate((np.diff(xs), np.mod(xs[:1] - xs[-1:], 1.0)))  # gap after xs[i], wrapping
+    # With any cut, the walk starts after the largest gap, which it never cuts.
+    start = int(np.argmax(gaps)) + 1 if gaps.max() >= threshold else 0
+    walk = np.concatenate((xs[start:], xs[:start]))
+    walk_gaps = np.concatenate((gaps[start:], gaps[:start]))
+    edges = [0, *(np.flatnonzero(walk_gaps[:-1] >= threshold) + 1).tolist(), n]
+    values = walk.tolist()
+    part_tuples = tuple(tuple(values[a:b]) for a, b in zip(edges, edges[1:]))
     r = len(part_tuples)
-    lambda_max = max(len(p) for p in part_tuples)
-    if r >= 2:
-        beta = min(
-            wrap_distance(a, b)
-            for i in range(r)
-            for j in range(i + 1, r)
-            for a in part_tuples[i]
-            for b in part_tuples[j]
-        )
-    else:
-        beta = math.inf
-    alpha = separation(xs.tolist()) if n >= 2 else math.inf
-    max_diam = max(_part_diameter(p) for p in part_tuples)
+    lambda_max = max(b - a for a, b in zip(edges, edges[1:]))
+    alpha = separation(xs) if n >= 2 else math.inf
 
     reasons: list[str] = []
     if lambda_max > lambda_cap:
         reasons.append(f"a part has {lambda_max} nodes, exceeding the cap {lambda_cap}")
-    if r >= 2 and beta < threshold:
-        reasons.append(f"inter-part distance {beta:.6g} below 3*lambda/L = {threshold:.6g}")
-    if r >= 2 and max_diam >= beta:
-        reasons.append(f"part diameter {max_diam:.6g} not below inter-part distance {beta:.6g}")
+    if r >= 2:
+        firsts, lasts = walk[edges[:-1]], walk[np.subtract(edges[1:], 1)]
+        beta = float(min(np.min(wrap_distance(lasts[:-1], firsts[1:])), wrap_distance(firsts[0], lasts[-1])))
+        # An arc's ends give its diameter unless it spans over half the circle,
+        # which only the longest arc can.
+        longest = int(np.argmax(np.mod(lasts - firsts, 1.0)))
+        ends = float(np.max(wrap_distance(firsts, lasts)))
+        max_diam = max(ends, _arc_diameter(walk[edges[longest] : edges[longest + 1]]))
+        if beta < threshold:
+            reasons.append(f"inter-part distance {beta:.6g} below 3*lambda/L = {threshold:.6g}")
+        if max_diam >= beta:
+            reasons.append(f"part diameter {max_diam:.6g} not below inter-part distance {beta:.6g}")
+    else:
+        beta = math.inf
     return ClumpDecomposition(
         parts=part_tuples,
         r=r,

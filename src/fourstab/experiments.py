@@ -277,26 +277,24 @@ def freq_stability_sweep(
     for e in ells:
         if not 0.0 <= e < 0.25:
             raise ValueError(f"perturbation sizes must lie in [0, 1/4), got {e}")
-    lattice = rect_lattice_points(dims).astype(int)
-    d = len(dims)
+    size, d = len(rect_lattice_points(dims)), len(dims)  # rect_lattice_points checks the sides
 
     def trial(ell: float, t: int, rng: np.random.Generator) -> tuple:
         if rank_one:
-            tables = []
-            for mk in dims:
-                tables.append({k: float(rng.uniform(-ell, ell)) if ell > 0 else 0.0 for k in range(mk)})
+            # One draw per component, in axis then index order.
+            axes = [np.array([rng.uniform(-ell, ell) if ell > 0 else 0.0 for _ in range(mk)]) for mk in dims]
             axis = int(rng.integers(d))
             pos = int(rng.integers(dims[axis]))
             sign = 1.0 if rng.random() < 0.5 else -1.0
-            tables[axis][pos] = sign * ell
-            eps = PerturbationMap.rank_one(tables)
+            axes[axis][pos] = sign * ell
+            eps = PerturbationMap.rank_one(axes)
         else:
-            vals = rng.uniform(-ell, ell, size=(len(lattice), d)) if ell > 0 else np.zeros((len(lattice), d))
-            pos = int(rng.integers(len(lattice)))
+            vals = rng.uniform(-ell, ell, size=(size, d)) if ell > 0 else np.zeros((size, d))
+            pos = int(rng.integers(size))
             axis = int(rng.integers(d))
             sign = 1.0 if rng.random() < 0.5 else -1.0
             vals[pos, axis] = sign * ell
-            eps = PerturbationMap.general({tuple(idx): vals[k] for k, idx in enumerate(lattice)})
+            eps = PerturbationMap.general(vals)
         mat = build_perturbed_dft_freq(dims, eps)
         summary = svd_values(mat)
         report = bnd.dft_freq_bounds(dims, ell, rank_one)
@@ -317,7 +315,7 @@ def _separated_nodes(
     for _ in range(200):
         offset = rng.random()
         nodes = np.mod((np.arange(count) + offset + amplitude * rng.uniform(-1, 1, count)) / count, 1.0)
-        sep = separation(nodes.tolist())
+        sep = separation(nodes)
         if accept(sep):
             return nodes, sep
     raise RuntimeError(f"failed to draw nodes with separation {gate}")

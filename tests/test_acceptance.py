@@ -145,7 +145,7 @@ def test_criterion_04_gram_identity():
 
 
 def _forced_sup_tables(rng, dims, ell):
-    tables = [{k: float(rng.uniform(-ell, ell)) if ell > 0 else 0.0 for k in range(mk)} for mk in dims]
+    tables = [np.array([rng.uniform(-ell, ell) if ell > 0 else 0.0 for _ in range(mk)]) for mk in dims]
     axis = int(rng.integers(len(dims)))
     pos = int(rng.integers(dims[axis]))
     tables[axis][pos] = (1.0 if rng.random() < 0.5 else -1.0) * ell
@@ -165,7 +165,7 @@ def test_criterion_05_frequency_stability_soundness():
             for _ in range(200):
                 vals = rng.uniform(-ell, ell, size=(m, 1))
                 vals[int(rng.integers(m)), 0] = (1.0 if rng.random() < 0.5 else -1.0) * ell
-                eps = PerturbationMap.general({(k,): vals[k] for k in range(m)})
+                eps = PerturbationMap.general(vals)
                 s = svd_values(build_perturbed_dft_freq((m,), eps))
                 total += 1
                 if s.sigma_min < lo - SLACK or s.sigma_max > hi + SLACK:

@@ -176,6 +176,30 @@ class TestBoundsCommand:
         doc = json.loads(out)
         assert doc["condition"] == pytest.approx(6**0.5)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["weyl-freq", "--sigma-r", "nan", "--sigma-1", "1", "--L", "4", "--n", "4", "--eps", "0.1"],
+                "need sigma_n <= sigma_1, got nan and 1.0",
+            ),
+            (
+                ["weyl-node", "--sigma-r", "1", "--sigma-1", "2", "--p", "0,1", "--n", "2", "--eps", "nan"],
+                "perturbation size must be nonnegative, got nan",
+            ),
+            (
+                ["weyl-freq", "--sigma-r", "1", "--sigma-1", "2", "--L", "4", "--n", "4", "--eps", "0.1"]
+                + ["--p-norm", "nan"],
+                "p must lie in [1, inf], got nan",
+            ),
+        ],
+    )
+    def test_weyl_nan_input_exits_one(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "bounds", "--theorem", *argv)
+        assert code == 1
+        assert out == ""
+        assert strict_loads(err)["message"] == message
+
     def test_missing_flags_fail_cleanly(self, capsys):
         code, out, err = run_cli(capsys, "bounds", "--theorem", "t3")
         assert code == 1

@@ -164,20 +164,40 @@ class TestPointSets:
 
 class TestPerturbationMap:
     def test_rank_one_assembly(self):
-        eps = PerturbationMap.rank_one([{0: 0.1, 1: -0.2}, {0: 0.0, 1: 0.05, 2: 0.2}])
+        eps = PerturbationMap.rank_one([[0.1, -0.2], [0.0, 0.05, 0.2]])
         assert eps.dim == 2
-        assert np.allclose(eps.value((1, 2)), [-0.2, 0.2])
+        assert np.allclose(eps.shifts((2, 3))[1 * 3 + 2], [-0.2, 0.2])
         assert eps.sup_norm == pytest.approx(0.2)
 
     def test_general_sup_norm(self):
-        eps = PerturbationMap.general({0: 0.1, 1: -0.3})
+        eps = PerturbationMap.general([0.1, -0.3])
         assert eps.sup_norm == pytest.approx(0.3)
-        assert eps.value((1,)) == pytest.approx(-0.3)
+        assert eps.shifts((2,))[1, 0] == pytest.approx(-0.3)
+
+    def test_shifts_follow_lattice_order(self):
+        axes = [[0.1, -0.2], [0.0, 0.05, 0.2]]
+        lattice = rect_lattice_points((2, 3)).astype(int)
+        expected = [[axes[0][i], axes[1][j]] for i, j in lattice]
+        assert PerturbationMap.rank_one(axes).shifts((2, 3)).tolist() == expected
+        assert PerturbationMap.general(expected).shifts((2, 3)).tolist() == expected
 
     def test_missing_index(self):
-        eps = PerturbationMap.general({0: 0.1})
-        with pytest.raises(KeyError):
-            eps.value((3,))
+        # a general table of the wrong shape, or a rank-one axis of the wrong length
+        for eps, m in [
+            (PerturbationMap.general([0.1]), (3,)),
+            (PerturbationMap.general([0.1, 0.2]), (2, 1)),
+            (PerturbationMap.rank_one([[0.0], [0.0, 0.1]]), (2, 2)),
+            (PerturbationMap.rank_one([[0.0, 0.1, 0.2]]), (2,)),
+        ]:
+            with pytest.raises(ValueError, match="does not cover"):
+                eps.shifts(m)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PerturbationMap.general([0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            PerturbationMap.rank_one([[0.0, 0.1], [bad]])
 
 
 class TestBuildFourier:
@@ -299,12 +319,12 @@ class TestBuildDft:
 
 class TestBuildPerturbedDftFreq:
     def test_zero_perturbation_is_dft(self):
-        eps = PerturbationMap.general({k: 0.0 for k in range(3)})
+        eps = PerturbationMap.general([0.0, 0.0, 0.0])
         mat = build_perturbed_dft_freq((3,), eps)
         assert np.allclose(mat.data, build_dft((3,)).data, atol=1e-15)
 
     def test_direct_entries(self):
-        eps = PerturbationMap.general({0: 0.1, 1: -0.1})
+        eps = PerturbationMap.general([0.1, -0.1])
         mat = build_perturbed_dft_freq((2,), eps)
         freqs = np.array([0.1, 0.9])
         nodes = np.array([0.0, 0.5])
@@ -312,7 +332,7 @@ class TestBuildPerturbedDftFreq:
         assert np.allclose(mat.data, expected, atol=1e-14)
 
     def test_uncovered_lattice_rejected(self):
-        eps = PerturbationMap.general({0: 0.0, 1: 0.0})
+        eps = PerturbationMap.general([0.0, 0.0])
         with pytest.raises(ValueError, match="cover"):
             build_perturbed_dft_freq((3,), eps)
 
@@ -466,11 +486,9 @@ def test_figure1_is_perturbed_dft():
     # same matrix through the generic perturbed builder
     n = 9
     mhalf = (n - 1) // 2
-    table = {k: 0.0 for k in range(n)}
-    for k in range(1, mhalf + 1):
-        table[k] = -0.25
-    for k in range(mhalf + 1, n):
-        table[k] = 0.25
+    table = np.zeros(n)
+    table[1 : mhalf + 1] = -0.25
+    table[mhalf + 1 :] = 0.25
     via_eps = build_perturbed_dft_freq((n,), PerturbationMap.general(table))
     # figure1 perturbs the column index; entries agree because j*(k+e)/n = (k+e)*j/n
     assert np.allclose(build_figure1(n).data, via_eps.data.T, atol=1e-12)

@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fourstab.core_matrix import FrequencySet, NodeSet, PerturbationMap, build_gamma, build_vandermonde
+from fourstab.core_matrix import (
+    FrequencySet,
+    NodeSet,
+    PerturbationMap,
+    build_gamma,
+    build_vandermonde,
+    torus_canonical,
+)
 from fourstab.exp_systems import (
     ExponentialSystemSpec,
     classify_system,
@@ -35,9 +42,118 @@ class TestWrapDistance:
     )
     def test_metric_properties(self, t, s, r):
         d = wrap_distance(t, s)
+        assert d == _wrap_py(t, s)
         assert 0.0 <= d <= 0.5
         assert d == pytest.approx(wrap_distance(s, t), abs=1e-12)
         assert wrap_distance(t, r) <= wrap_distance(t, s) + wrap_distance(s, r) + 1e-12
+
+
+# Pairwise reference forms: every pair, or every pair of parts, in Python.
+
+
+def _wrap_py(t, s):
+    r = (t - s) % 1.0
+    return min(r, 1.0 - r)
+
+
+def _separation_pairwise(u):
+    xs = list(u)
+    return min(_wrap_py(xs[i], xs[j]) for i in range(len(xs)) for j in range(i + 1, len(xs)))
+
+
+def _part_diameter(part):
+    if len(part) < 2:
+        return 0.0
+    return max(_wrap_py(part[i], part[j]) for i in range(len(part)) for j in range(i + 1, len(part)))
+
+
+def _clump_decompose_pairwise(u, L, lambda_cap) -> dict:
+    xs = np.sort(torus_canonical(u))
+    n = xs.size
+    threshold = 3.0 * lambda_cap / L
+    if n == 1:
+        parts = [[float(xs[0])]]
+    else:
+        gaps = np.mod(np.roll(xs, -1) - xs, 1.0)
+        start = (int(np.argmax(gaps)) + 1) % n
+        parts = [[]]
+        for step in range(n):
+            i = (start + step) % n
+            parts[-1].append(float(xs[i]))
+            if gaps[i] >= threshold and step < n - 1:
+                parts.append([])
+        if gaps.max() < threshold:
+            parts = [[float(x) for x in xs]]
+    r = len(parts)
+    lambda_max = max(len(p) for p in parts)
+    beta = math.inf
+    if r >= 2:
+        beta = min(
+            _wrap_py(a, b)
+            for i in range(r)
+            for j in range(i + 1, r)
+            for a in parts[i]
+            for b in parts[j]
+        )
+    alpha = _separation_pairwise(xs.tolist()) if n >= 2 else math.inf
+    max_diam = max(_part_diameter(p) for p in parts)
+    reasons = []
+    if lambda_max > lambda_cap:
+        reasons.append(f"a part has {lambda_max} nodes, exceeding the cap {lambda_cap}")
+    if r >= 2 and beta < threshold:
+        reasons.append(f"inter-part distance {beta:.6g} below 3*lambda/L = {threshold:.6g}")
+    if r >= 2 and max_diam >= beta:
+        reasons.append(f"part diameter {max_diam:.6g} not below inter-part distance {beta:.6g}")
+    return {
+        "parts": parts,
+        "r": r,
+        "lambda_max": lambda_max,
+        "beta": beta,
+        "alpha": alpha,
+        "hypotheses_ok": not reasons,
+        "reasons": reasons,
+    }
+
+
+def _near_integer(x):
+    return abs(x - round(x)) <= 1e-12
+
+
+def _special_delta_pairwise(delta, p):
+    pts = p.points
+    for k in range(p.count):
+        for k2 in range(k + 1, p.count):
+            if _near_integer(float(np.dot(pts[k] - pts[k2], delta))):
+                return (tuple(pts[k]), tuple(pts[k2]))
+    return None
+
+
+def _tensor_kadec_pairwise(dims, axis_values):
+    for axis, (mk, a) in enumerate(zip(dims, axis_values)):
+        for i in range(mk):
+            for j in range(mk):
+                if i != j and _near_integer((j - i + a[j] - a[i]) / mk):
+                    return (axis + 1, i, j)
+    return None
+
+
+@st.composite
+def _circle_nodes(draw, min_size=2, max_size=24):
+    """Nodes on the circle with clusters below 1e-10, pairs that straddle
+    0 = 1, and some raw values outside [0, 1)."""
+    count = draw(st.integers(min_size, max_size))
+    base = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=count, max_size=count))
+    nodes = []
+    for x in base:
+        kind = draw(st.integers(0, 4))
+        if kind == 1:
+            x += draw(st.floats(-1e-10, 1e-10))
+        elif kind == 2:
+            x = draw(st.sampled_from([0.0, 1.0, -0.0])) + draw(st.floats(-1e-9, 1e-9))
+        elif kind == 3:
+            x += draw(st.integers(-2, 2))
+        nodes.append(x)
+    return nodes
 
 
 class TestSeparation:
@@ -49,6 +165,20 @@ class TestSeparation:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             separation([0.3])
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [[0.1, 0.2, math.nan], [math.nan, 0.1, 0.2], [0.1, math.inf, 0.2], [-math.inf, 0.5], [math.nan, math.nan]],
+    )
+    def test_rejects_non_finite(self, nodes):
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            separation(nodes)
+
+    @settings(max_examples=400, deadline=None)
+    @given(nodes=_circle_nodes())
+    def test_matches_pairwise_bitwise(self, nodes):
+        assert separation(nodes) == _separation_pairwise(nodes)
+        assert separation(np.array(nodes)) == _separation_pairwise(nodes)
 
 
 class TestClassifySystem:
@@ -103,6 +233,30 @@ class TestSpecialDeltaCondition:
     def test_two_dimensional(self):
         check = special_delta_condition([0.5, 1 / 3], FrequencySet([[0, 0], [1, 1]]))
         assert check.holds
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_delta(self, bad):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            special_delta_condition([bad], FrequencySet([0, 1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_pairwise_witness(self, data):
+        dim = data.draw(st.integers(1, 3))
+        point = st.lists(st.integers(-6, 6), min_size=dim, max_size=dim).map(tuple)
+        pts = data.draw(st.lists(point, min_size=1, max_size=7, unique=True))
+        delta = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
+        if len(pts) >= 2 and data.draw(st.booleans()):
+            # force <p_0 - p_1, delta> to an integer, up to rounding
+            diff = np.subtract(pts[0], pts[1])
+            axis = int(np.flatnonzero(diff)[0])
+            rest = float(np.dot(diff, delta)) - diff[axis] * delta[axis]
+            delta[axis] = (data.draw(st.integers(-3, 3)) - rest) / diff[axis]
+        p = FrequencySet(list(pts))
+        check = special_delta_condition(delta, p)
+        expected = _special_delta_pairwise(np.asarray(delta), p)
+        assert check.holds == (expected is None)
+        assert check.witness == expected
 
     def test_progression_equivalence(self, rng):
         # condition holds iff the arithmetic-progression system is a basis
@@ -167,28 +321,44 @@ def _degenerate_delta(rng, p):
 
 class TestTensorKadecCondition:
     def test_zero_perturbation(self):
-        eps = PerturbationMap.rank_one([{0: 0.0, 1: 0.0, 2: 0.0}])
+        eps = PerturbationMap.rank_one([[0.0, 0.0, 0.0]])
         assert tensor_kadec_condition((3,), eps).holds
 
     def test_near_half(self):
-        eps = PerturbationMap.rank_one([{0: 0.0, 1: 0.49}])
+        eps = PerturbationMap.rank_one([[0.0, 0.49]])
         assert tensor_kadec_condition((2,), eps).holds
 
     def test_failure_with_witness(self):
-        eps = PerturbationMap.rank_one([{0: 0.6, 1: -0.4}])
+        eps = PerturbationMap.rank_one([[0.6, -0.4]])
         check = tensor_kadec_condition((2,), eps)
         assert not check.holds
         assert check.witness == (1, 0, 1)
 
     def test_general_mode_rejected(self):
-        eps = PerturbationMap.general({0: 0.0, 1: 0.0})
+        eps = PerturbationMap.general([0.0, 0.0])
         with pytest.raises(ValueError, match="rank-one"):
             tensor_kadec_condition((2,), eps)
 
     def test_missing_axis_entry(self):
-        eps = PerturbationMap.rank_one([{0: 0.0}])
-        with pytest.raises(ValueError, match="undefined"):
+        eps = PerturbationMap.rank_one([[0.0]])
+        with pytest.raises(ValueError, match="does not cover"):
             tensor_kadec_condition((2,), eps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_pairwise_witness(self, data):
+        dims = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+        axes = [data.draw(st.lists(st.floats(-0.6, 0.6), min_size=mk, max_size=mk)) for mk in dims]
+        axis = data.draw(st.integers(0, len(dims) - 1))
+        if dims[axis] >= 2 and data.draw(st.booleans()):
+            # force (j - i + a[j] - a[i]) / M to an integer, up to rounding
+            i, j = data.draw(st.lists(st.integers(0, dims[axis] - 1), min_size=2, max_size=2, unique=True))
+            shift = data.draw(st.sampled_from([-1, 0, 1])) * dims[axis]
+            axes[axis][j] = axes[axis][i] + (i - j) + shift
+        check = tensor_kadec_condition(dims, PerturbationMap.rank_one(axes))
+        expected = _tensor_kadec_pairwise(dims, axes)
+        assert check.holds == (expected is None)
+        assert check.witness == expected
 
 
 class TestGramMatrix:
@@ -252,6 +422,40 @@ class TestClumpDecompose:
         assert beta == pytest.approx(dec.beta, abs=1e-14)
         assert separation(nodes.tolist()) == pytest.approx(dec.alpha, abs=1e-14)
 
+    def test_long_arc_diameter(self):
+        # the first part spans more than half the circle: its diameter is
+        # the pair (0.0, 0.5), not its endpoints (0.0, 0.6)
+        dec = clump_decompose([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8], L=20, lambda_cap=1)
+        assert dec.to_dict() == _clump_decompose_pairwise([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8], 20, 1)
+        assert any("part diameter 0.5 " in r for r in dec.reasons)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_long_arc_matches_pairwise(self, data):
+        # k jittered nodes over an arc of length A > 1/2, cut at threshold
+        # 1.5 * spacing, plus one to three nodes in the rest of the circle
+        k = data.draw(st.integers(16, 30))
+        arc = data.draw(st.floats(0.55, 0.7))
+        spacing = arc / (k - 1)
+        jitter = data.draw(st.lists(st.floats(-0.2, 0.2), min_size=k, max_size=k))
+        nodes = [spacing * (i + j) for i, j in enumerate(jitter)]
+        threshold = 1.5 * spacing
+        others = st.floats(arc + 2 * threshold, 1.0 - 2 * threshold)
+        nodes += data.draw(st.lists(others, min_size=1, max_size=3, unique=True))
+        offset = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        nodes = [x + offset for x in nodes]
+        L = int(3.0 / threshold)
+        assume(len(set(torus_canonical(nodes).tolist())) == len(nodes))
+        dec = clump_decompose(nodes, L, 1)
+        assert dec.to_dict() == _clump_decompose_pairwise(nodes, L, 1)
+
+    @settings(max_examples=250, deadline=None)
+    @given(nodes=_circle_nodes(min_size=1), L=st.integers(1, 400), lambda_cap=st.integers(1, 4))
+    def test_matches_pairwise(self, nodes, L, lambda_cap):
+        assume(len(set(torus_canonical(nodes).tolist())) == len(nodes))
+        dec = clump_decompose(nodes, L, lambda_cap)
+        assert dec.to_dict() == _clump_decompose_pairwise(nodes, L, lambda_cap)
+
     def test_oversized_part_reported(self):
         dec = clump_decompose([0.0, 0.001, 0.002], L=100, lambda_cap=1)
         assert not dec.hypotheses_ok
@@ -296,7 +500,7 @@ class TestKadecIffNonsingular:
 
 def _rank_one_tables(rng, dims, degenerate, margin=1e-3):
     while True:
-        tables = [{k: float(rng.uniform(-0.6, 0.6)) for k in range(mk)} for mk in dims]
+        tables = [np.array([rng.uniform(-0.6, 0.6) for _ in range(mk)]) for mk in dims]
         if degenerate:
             axis = int(rng.integers(len(dims)))
             mk = dims[axis]
