@@ -349,8 +349,10 @@ def clump_bounds(
     """
     if lam < 1:
         raise ValueError(f"cluster size cap must be >= 1, got {lam}")
-    if c_universal <= 0.0 or c_small <= 0.0:
-        raise ValueError("universal constants must be positive")
+    if not (0.0 < c_universal < math.inf and 0.0 < c_small < math.inf):
+        raise ValueError(f"universal constants must be positive and finite, got {c_universal} and {c_small}")
+    if math.isnan(alpha):
+        raise ValueError("intra-cluster spacing alpha must be a number, got nan")
     theorem = "clump_localization"
     inputs = {
         "L": L,

@@ -291,11 +291,11 @@ def _matrix_from_args(args) -> ComplexDense:
         return build_dft(parse_ints(args.m))
     if args.deltas and args.p:
         return build_gamma(NodeSet(parse_points(args.deltas)), FrequencySet(parse_points(args.p)))
-    if args.nodes and args.L:
+    if args.nodes and args.L is not None:
         return build_vandermonde(args.L, [x[0] for x in parse_points(args.nodes)])
-    if args.instability:
+    if args.instability is not None:
         return build_instability_submatrix(args.instability)
-    if args.figure1:
+    if args.figure1 is not None:
         return build_figure1(args.figure1)
     raise ValueError(
         "no matrix source given: use --m, --deltas/--p, --L/--nodes, --instability or --figure1"

@@ -255,12 +255,11 @@ class PerturbationMap:
     is eps at lattice point k in ``rect_lattice_points`` order.  Rank-one:
     ``axis_values`` holds one 1-D array a_t per axis and eps(n) is
     (a_1[n_1], ..., a_d[n_d]); only one component changes when a single
-    entry of n changes.  ``sup_norm`` is the max absolute stored component.
+    entry of n changes.
     """
 
     values: np.ndarray | None = None
     axis_values: tuple[np.ndarray, ...] | None = None
-    sup_norm: float = field(init=False)
 
     def __post_init__(self):
         if (self.values is None) == (self.axis_values is None):
@@ -275,7 +274,6 @@ class PerturbationMap:
             object.__setattr__(self, "values", arrays[0])
         if not all(np.isfinite(a).all() for a in arrays):
             raise ValueError("perturbation values must be finite")
-        object.__setattr__(self, "sup_norm", max((float(np.abs(a).max()) for a in arrays if a.size), default=0.0))
 
     @classmethod
     def general(cls, values) -> "PerturbationMap":
@@ -284,10 +282,6 @@ class PerturbationMap:
     @classmethod
     def rank_one(cls, axis_values) -> "PerturbationMap":
         return cls(axis_values=tuple(axis_values))
-
-    @property
-    def dim(self) -> int:
-        return len(self.axis_values) if self.values is None else self.values.shape[1]
 
     def shifts(self, m: Sequence[int]) -> np.ndarray:
         """eps at every point of the lattice with sides ``m``, as a (P, d)

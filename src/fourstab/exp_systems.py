@@ -139,27 +139,26 @@ class ClumpDecomposition:
 
 def wrap_distance(t, s):
     """Distance on the circle: min over integers n of |t - s - n|, elementwise
-    over arrays (``np.mod`` is Python's ``%`` for floats)."""
-    r = np.mod(t - s, 1.0)
+    over arrays.  It reduces |t - s|, so it is exactly symmetric in t and s."""
+    r = np.mod(np.abs(t - s), 1.0)
     return np.minimum(r, 1.0 - r)
 
 
 def separation(u: Sequence[float]) -> float:
     """Minimum pairwise wrap distance of a node list, in O(n log n).
 
-    The closest pair is always a pair of neighbours on the sorted circle, so
-    only those n pairs are measured, each as ``wrap_distance(u[i], u[j])``
-    with i < j: the result equals the minimum over all pairs bit for bit.
+    The nodes are canonicalised to [0, 1) and sorted; the closest pair is
+    always a pair of neighbours on that circle, so only the n - 1 adjacent
+    gaps and the closing one are measured.  The result equals the minimum
+    of ``wrap_distance`` over all canonical pairs bit for bit.
     """
     xs = np.asarray(u, dtype=float)
     if xs.ndim != 1 or xs.size < 2:
         raise ValueError("separation needs at least two nodes")
     if not np.isfinite(xs).all():
         raise ValueError("nodes must be finite")
-    ring = np.argsort(np.mod(xs, 1.0))
-    ring = np.concatenate((ring, ring[:1]))
-    first, second = np.minimum(ring[:-1], ring[1:]), np.maximum(ring[:-1], ring[1:])
-    return float(wrap_distance(xs[first], xs[second]).min())
+    xs = np.sort(torus_canonical(xs))
+    return float(min(wrap_distance(xs[:-1], xs[1:]).min(), wrap_distance(xs[0], xs[-1])))
 
 
 def classify_system(spec: ExponentialSystemSpec, tol: float | None = None) -> SystemClassification:

@@ -1,20 +1,18 @@
 """Deterministic and randomized sweeps pitting measured spectra against bounds.
 
 Each trial draws its randomness from a stream keyed by (seed, trial_index),
-so results are byte-identical across runs and independent of the degree of
-parallelism.  Records serialize to CSV (12 significant digits, wall time
-excluded so repeated runs are byte-identical) and to a strict JSON report,
-in which a non-finite number is written as null and, as an object member,
-flagged by a ``<name>_nonfinite`` sibling.
+so results are byte-identical across runs.  Records serialize to CSV (12
+significant digits, wall time excluded so repeated runs are byte-identical)
+and to a strict JSON report, in which a non-finite number is written as null
+and, as an object member, flagged by a ``<name>_nonfinite`` sibling.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -65,19 +63,13 @@ class SweepConfig:
     trials: int = 1
     crossover: int = CROSSOVER_DIM
     output_path: str | None = None
-    workers: int | None = None
+    workers: int | None = None  # accepted for callers that pass 1; sweeps run in one thread
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-
-    def effective_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
-        env = os.environ.get("FOURSTAB_THREADS", "")
-        if env.strip():
-            return max(1, int(env))
-        return 1
+        if self.workers not in (None, 1):
+            raise ValueError(f"sweeps run in one thread: workers must be None or 1, got {self.workers}")
 
 
 @dataclass
@@ -192,12 +184,10 @@ def _sweep(
     if not jobs:
         raise ValueError(f"{experiment}: the sweep grid must be nonempty")
     started = time.perf_counter()
-    grid = [(job, t) for job in jobs for t in range(cfg.trials)]
-
-    def one(i: int) -> SweepRecord:
+    records = []
+    for i, (job, t) in enumerate(itertools.product(jobs, range(cfg.trials))):
         t0 = time.perf_counter()
         rng = _trial_rng(cfg.seed, i)
-        job, t = grid[i]
         params, measured, bounds, violations, matrix = trial(job, t, rng)
         rec = SweepRecord(experiment, params, measured, bounds, violations, wall_time_s=time.perf_counter() - t0)
         if rec.violated:
@@ -205,14 +195,7 @@ def _sweep(
             dump = base.with_name(base.name + f".violation-{tag}-{i}.json")
             dump.write_text(matrix.to_json())
             rec.artifacts["matrix_dump"] = str(dump)
-        return rec
-
-    workers = min(cfg.effective_workers(), len(grid), os.cpu_count() or 1)
-    if workers <= 1:
-        records = [one(i) for i in range(len(grid))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, range(len(grid))))
+        records.append(rec)
     if cfg.output_path:
         out = Path(cfg.output_path)
         write_csv(records, out)
@@ -282,7 +265,7 @@ def freq_stability_sweep(
     def trial(ell: float, t: int, rng: np.random.Generator) -> tuple:
         if rank_one:
             # One draw per component, in axis then index order.
-            axes = [np.array([rng.uniform(-ell, ell) if ell > 0 else 0.0 for _ in range(mk)]) for mk in dims]
+            axes = [rng.uniform(-ell, ell, mk) if ell > 0 else np.zeros(mk) for mk in dims]
             axis = int(rng.integers(d))
             pos = int(rng.integers(dims[axis]))
             sign = 1.0 if rng.random() < 0.5 else -1.0

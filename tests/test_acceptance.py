@@ -145,7 +145,7 @@ def test_criterion_04_gram_identity():
 
 
 def _forced_sup_tables(rng, dims, ell):
-    tables = [np.array([rng.uniform(-ell, ell) if ell > 0 else 0.0 for _ in range(mk)]) for mk in dims]
+    tables = [rng.uniform(-ell, ell, mk) if ell > 0 else np.zeros(mk) for mk in dims]
     axis = int(rng.integers(len(dims)))
     pos = int(rng.integers(dims[axis]))
     tables[axis][pos] = (1.0 if rng.random() < 0.5 else -1.0) * ell

@@ -93,6 +93,20 @@ class TestBuildCommand:
         mat = ComplexDense.from_json(out)
         assert mat.rows == 4 and mat.cols == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--instability", "0"], "size must be an odd integer >= 3, got 0"),
+            (["--figure1", "0"], "size must be an odd integer >= 3, got 0"),
+            (["--L", "0", "--nodes", "0.1"], "row count must be >= 1, got 0"),
+        ],
+    )
+    def test_zero_size_names_the_builder_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "build", *argv)
+        assert code == 1
+        assert out == ""
+        assert strict_loads(err)["message"] == message
+
     def test_gamma_source(self, capsys):
         code, out, _ = run_cli(capsys, "build", "--deltas", "0,1/2,1/4", "--p", "0,1")
         assert code == 0
@@ -196,6 +210,22 @@ class TestBoundsCommand:
     )
     def test_weyl_nan_input_exits_one(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "bounds", "--theorem", *argv)
+        assert code == 1
+        assert out == ""
+        assert strict_loads(err)["message"] == message
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--c-universal", "nan", "universal constants must be positive and finite, got nan and 1.0"),
+            ("--c-small", "nan", "universal constants must be positive and finite, got 1.0 and nan"),
+            ("--c-universal", "inf", "universal constants must be positive and finite, got inf and 1.0"),
+            ("--alpha", "nan", "intra-cluster spacing alpha must be a number, got nan"),
+        ],
+    )
+    def test_clump_non_finite_input_exits_one(self, capsys, flag, value, message):
+        argv = {"--L": "100", "--n": "10", "--alpha": "0.001", "--lambda": "2", flag: value}
+        code, out, err = run_cli(capsys, "bounds", "--theorem", "clump", *(x for kv in argv.items() for x in kv))
         assert code == 1
         assert out == ""
         assert strict_loads(err)["message"] == message

@@ -178,39 +178,11 @@ class TestDeterminism:
         b = records_to_csv(freq_stability_sweep((8,), [0.1], False, SweepConfig(seed=2, trials=5)))
         assert a != b
 
-    def test_worker_count_invariance(self):
-        base = SweepConfig(seed=3, trials=8, workers=1)
-        par = SweepConfig(seed=3, trials=8, workers=4)
-        a = records_to_csv(wellsep_sweep([32], base))
-        b = records_to_csv(wellsep_sweep([32], par))
-        assert a == b
-
-    @pytest.mark.parametrize(
-        "workers, cpus, expected",
-        [(10_000, 3, 3), (10_000, 64, 5), (2, 64, 2), (10_000, None, None), (1, 64, None)],
-    )
-    def test_worker_cap(self, monkeypatch, workers, cpus, expected):
-        # The pool is a fake that records its size and maps serially, so no thread starts.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-        recs = wellsep_sweep([16], SweepConfig(seed=3, trials=5, workers=workers))
-        assert len(recs) == 5
-        assert sizes == ([] if expected is None else [expected])
+    def test_only_one_worker_accepted(self):
+        assert SweepConfig(workers=1).workers == 1
+        assert SweepConfig(workers=None).workers is None
+        with pytest.raises(ValueError, match="one thread"):
+            SweepConfig(workers=2)
 
     def test_csv_number_format(self):
         recs = wellsep_sweep([16], SweepConfig(seed=5, trials=2))

@@ -36,10 +36,10 @@ CASES = {
     "node": lambda: node_stability_sweep(64, 16, [0.0, 0.05, 0.24], SweepConfig(seed=3, trials=3)),
     "wellsep": lambda: wellsep_sweep([4, 8, 16, 33], SweepConfig(seed=11, trials=3)),
     "clump_lam1": lambda: clump_experiment(
-        96, 8, [1e-4, 1e-3], 1, (0.5, 2.0), SweepConfig(seed=2, trials=2, workers=3)
+        96, 8, [1e-4, 1e-3], 1, (0.5, 2.0), SweepConfig(seed=2, trials=2)
     ),
     "clump_lam2": lambda: clump_experiment(
-        96, 8, [1e-4, 1e-3], 2, (0.5, 2.0), SweepConfig(seed=2, trials=2, workers=3)
+        96, 8, [1e-4, 1e-3], 2, (0.5, 2.0), SweepConfig(seed=2, trials=2)
     ),
 }
 
