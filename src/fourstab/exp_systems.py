@@ -157,7 +157,11 @@ def separation(u: Sequence[float]) -> float:
         raise ValueError("separation needs at least two nodes")
     if not np.isfinite(xs).all():
         raise ValueError("nodes must be finite")
-    xs = np.sort(torus_canonical(xs))
+    return _sorted_separation(np.sort(torus_canonical(xs)))
+
+
+def _sorted_separation(xs: np.ndarray) -> float:
+    """``separation`` of at least two canonical nodes already sorted on [0, 1)."""
     return float(min(wrap_distance(xs[:-1], xs[1:]).min(), wrap_distance(xs[0], xs[-1])))
 
 
@@ -304,7 +308,7 @@ def clump_decompose(u: Sequence[float], L: int, lambda_cap: int) -> ClumpDecompo
     part_tuples = tuple(tuple(values[a:b]) for a, b in zip(edges, edges[1:]))
     r = len(part_tuples)
     lambda_max = max(b - a for a, b in zip(edges, edges[1:]))
-    alpha = separation(xs) if n >= 2 else math.inf
+    alpha = _sorted_separation(xs) if n >= 2 else math.inf
 
     reasons: list[str] = []
     if lambda_max > lambda_cap:

@@ -13,7 +13,13 @@ cube Q + p_k,
 where S_T(b) = sum_{|n| <= T} sinc^2(n + b) increases to 1 as T grows.
 The cube integrals are products of one-dimensional integrals of
 exponentials, evaluated in closed form; truncation in n is the only
-approximation.
+approximation.  The tail factor is in closed form as well: from
+sum_{n in Z} (n + b)^-2 = pi^2 / sin^2(pi b), for 0 <= b < 1,
+
+    S_T(b) = 1 - (sin^2(pi b) / pi^2) * (psi_1(T + 1 + b) + psi_1(T + 1 - b)),
+
+with psi_1 the trigamma function, so S_T(0) = 1 exactly and the cost is
+O(L d) for any T.
 
 Synthesis side (Riesz sequences): the squared norm of a finite combination
 sum a_{j,n} e^{2 pi i (n + delta_j).x} over T(P) expands into closed-form
@@ -26,7 +32,11 @@ with nu = (n - m) + (delta_j - delta_i) and J(nu) the unit-interval
 integral of e^{2 pi i nu y}.  The lattice sum depends only on the offset
 pair (j, i), so it is evaluated once as a table over the offsets in use
 (at most L x L); the K x K cross matrix is that table indexed by the
-offsets of the K coefficients times J factors broadcast over all pairs.
+offsets of the K coefficients.  On each axis J(nu_t) depends only on the
+offset pair and on the integer difference n_t - m_t, so J is evaluated on
+a table over the offset pairs and the distinct differences of the
+distinct integers on that axis, and gathered onto the K x K matrix (unless
+the keys are so sparse that this table would be larger than the matrix).
 G itself is never formed.  No truncation is involved, so the Riesz ratio
 is exact up to roundoff.
 """
@@ -65,6 +75,8 @@ class CubeWitness:
             raise ValueError(
                 f"witness needs {self.spec.num_p} cube values, got shape {vals.shape}"
             )
+        if not np.isfinite(vals).all():
+            raise ValueError("witness values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -106,12 +118,41 @@ class FiniteSequence:
         return float(np.sum(np.abs(self.values) ** 2))
 
 
+# Bernoulli numbers B_2, B_4, ..., B_12 of the trigamma asymptotic series.
+_BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730)
+
+
+def _trigamma(x: np.ndarray) -> np.ndarray:
+    """psi_1(x) = sum_{k >= 0} (x + k)^-2 for x >= 1, to about 4.2e-16 relative.
+
+    The recurrence psi_1(x) = x^-2 + psi_1(x + 1) (Abramowitz-Stegun 6.4.6)
+    lifts every argument to y = x + s >= 16, where the asymptotic series
+    1/y + 1/(2 y^2) + sum_k B_2k / y^(2k+1) (A-S 6.4.12) runs to its y^-13
+    term; the s recurrence terms are then added smallest first.
+    """
+    x = np.asarray(x, dtype=float)
+    steps = np.maximum(np.ceil(16.0 - x), 0.0)
+    y = x + steps
+    inv_sq = 1.0 / y**2
+    series = 0.0
+    for b in reversed(_BERNOULLI):
+        series = b + inv_sq * series
+    out = (1.0 + (0.5 + series / y) / y) / y
+    for k in range(int(steps.max(initial=0.0)) - 1, -1, -1):
+        out += np.where(k < steps, 1.0 / (x + k) ** 2, 0.0)
+    return out
+
+
 def frame_ratio(witness: CubeWitness, trunc: int) -> float:
     """Truncated analysis sum of the witness divided by its squared norm.
 
-    Monotone nondecreasing in the truncation radius and bounded above by
-    the optimal upper frame constant sigma_1(G)^2.
+    Monotone nondecreasing in the integer truncation radius ``trunc`` >= 1
+    and bounded above by the optimal upper frame constant sigma_1(G)^2.
+    The tail factors are in closed form, so the cost does not depend on
+    ``trunc``.
     """
+    if isinstance(trunc, bool) or not isinstance(trunc, (int, np.integer)):
+        raise ValueError(f"truncation radius must be an integer, got {trunc!r}")
     if trunc < 1:
         raise ValueError(f"truncation radius must be >= 1, got {trunc}")
     norm_sq = witness.norm_sq
@@ -121,14 +162,11 @@ def frame_ratio(witness: CubeWitness, trunc: int) -> float:
     deltas = spec.deltas.points
     phases = deltas @ spec.p.points.T
     g = unit_entries(phases) @ np.conj(witness.values)
-    # S_T(b) for every offset coordinate b at once.  At an integer b only
-    # sinc(0) = 1 survives; otherwise sinc^2(n + b) = sin^2(pi b) / (pi (n + b))^2,
-    # with sin(pi b) taken at min(b, 1 - b) to stay accurate for b near 1.
-    whole = deltas == np.round(deltas)
-    n = np.arange(-trunc, trunc + 1, dtype=float)
-    inv_sq = np.sum(1.0 / (n + np.where(whole, 0.5, deltas)[..., None]) ** 2, axis=-1)
+    # S_T(b) for every offset coordinate b at once, with sin(pi b) taken at
+    # min(b, 1 - b) to stay accurate for b near 1; at b = 0 it is 1 exactly.
+    edge = float(trunc) + 1.0
     sin_sq = (np.sin(np.pi * np.minimum(deltas, 1.0 - deltas)) / np.pi) ** 2
-    tails = np.where(whole, 1.0, sin_sq * inv_sq)
+    tails = 1.0 - sin_sq * (_trigamma(edge + deltas) + _trigamma(edge - deltas))
     return float(np.sum(np.abs(g) ** 2 * np.prod(tails, axis=1))) / norm_sq
 
 
@@ -157,6 +195,8 @@ def _normalize_coeffs(
         keys.append((j, n_tup))
         vals.append(complex(val))
     arr = np.asarray(vals, dtype=np.complex128)
+    if not np.isfinite(arr).all():
+        raise ValueError("coefficients must be finite")
     if not keys or not np.any(np.abs(arr) > 0.0):
         raise ValueError("coefficients must be nonzero somewhere")
     return keys, arr
@@ -177,7 +217,15 @@ def _cross_terms(spec: ExponentialSystemSpec, keys: list[tuple[int, tuple[int, .
     pair = (col[:, None], col[None, :])
     cross = table[pair]
     for t in range(spec.dim):
-        cross *= _unit_interval_integrals((ints[:, None, t] - ints[None, :, t]) + diff[pair + (t,)])
+        # J(nu_t) depends only on the offset pair and on n_t - m_t: one table
+        # over the distinct differences of the distinct values on this axis.
+        values, at = np.unique(ints[:, t], return_inverse=True)
+        steps, step = np.unique(values[:, None] - values[None, :], return_inverse=True)
+        step = step.reshape(values.size, values.size)[at[:, None], at[None, :]]
+        if used.size**2 * steps.size <= step.size:
+            cross *= _unit_interval_integrals(steps + diff[:, :, t, None])[pair + (step,)]
+        else:  # keys too sparse for the table to be smaller than the K x K matrix
+            cross *= _unit_interval_integrals(steps[step] + diff[pair + (t,)])
     return cross
 
 

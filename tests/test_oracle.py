@@ -13,6 +13,7 @@ from fourstab.oracle import (
     FiniteSequence,
     _cross_terms,
     _normalize_coeffs,
+    _unit_interval_integrals,
     extremal_witness,
     frame_ratio,
     hilbert_shift,
@@ -78,7 +79,7 @@ class TestFrameRatio:
         w = CubeWitness(spec, np.array([1.0, 0.5 - 2.0j]))
         g = unit_entries(spec.deltas.points @ spec.p.points.T) @ np.conj(w.values)
         ratios = []
-        for trunc in (1, 2, 5, 25, 125, 1000):
+        for trunc in (1, 2, 5, 25, 125, 1000, 10_000):
             factors = [tail_sum(b, trunc) for b in spec.deltas.points.ravel()]
             expected = np.sum(np.abs(g) ** 2 * np.prod(np.reshape(factors, (4, 2)), axis=1)) / w.norm_sq
             ratios.append(frame_ratio(w, trunc))
@@ -117,6 +118,48 @@ class TestFrameRatio:
         w = CubeWitness(tight_spec(), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             frame_ratio(w, 0)
+
+    @pytest.mark.parametrize("trunc", [2.5, 10.0, True, "10", np.float64(3.0)])
+    def test_non_integer_truncation_rejected(self, trunc):
+        w = CubeWitness(tight_spec(), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="integer"):
+            frame_ratio(w, trunc)
+
+    def test_numpy_integer_truncation_accepted(self):
+        w = CubeWitness(frame_spec(), np.array([1.0, -0.5j]))
+        assert frame_ratio(w, np.int64(25)) == frame_ratio(w, 25)
+
+    @pytest.mark.parametrize("trunc", [10**9, 10**12, 10**30])
+    def test_huge_truncation(self, trunc):
+        # offsets near 0, in the middle and near 1 on both axes
+        spec = ExponentialSystemSpec(
+            NodeSet([[1e-9, 0.5], [0.25, 1 - 1e-9], [0.75, 0.3]]), FrequencySet([[0, 0], [1, 2]])
+        )
+        w = CubeWitness(spec, np.array([1.0, 0.5 - 2.0j]))
+        g = unit_entries(spec.deltas.points @ spec.p.points.T) @ np.conj(w.values)
+        if trunc <= 10**12:
+            mpmath = pytest.importorskip("mpmath")
+            with mpmath.workdps(40):
+
+                def exact_tail(b):
+                    b = mpmath.mpf(float(b))
+                    edge = mpmath.mpf(trunc) + 1
+                    return 1 - mpmath.sin(mpmath.pi * b) ** 2 / mpmath.pi**2 * (
+                        mpmath.psi(1, edge + b) + mpmath.psi(1, edge - b)
+                    )
+
+                tails = np.reshape([float(exact_tail(b)) for b in spec.deltas.points.ravel()], (3, 2))
+            expected = np.sum(np.abs(g) ** 2 * np.prod(tails, axis=1)) / w.norm_sq
+            assert frame_ratio(w, trunc) == pytest.approx(expected, rel=1e-14)
+        upper = svd_values(build_gamma(spec.deltas, spec.p)).sigma_max ** 2
+        assert frame_ratio(w, trunc) <= upper * (1 + 1e-12)
+        assert frame_ratio(w, trunc) >= frame_ratio(w, 10_000)
+
+
+    def test_non_finite_witness_rejected(self):
+        for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                CubeWitness(tight_spec(), [1.0, bad])
 
 
 class TestExtremalWitness:
@@ -194,6 +237,38 @@ class TestRieszRatio:
         same = (offsets[:, None] == offsets[None, :]) & ~np.eye(len(keys), dtype=bool)
         assert np.all(cross[same] == 0.0)
         assert np.all(np.diag(cross) == spec.num_p)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cross_terms_match_loop_far_keys(self, rng, dim):
+        spec = random_spec(rng, dim=dim, max_l=4, max_n=4)
+        far = (-7, 0, 5, 10**9)
+        window = list(itertools.product(far, repeat=dim))
+        # every offset with every far n gives a table over (offset pair,
+        # difference) smaller than the K x K matrix; one far n per offset gives
+        # keys too sparse for that table
+        dense = [(j, n) for n in window for j in range(spec.num_deltas)]
+        sparse = [(j, window[(3 * j + 1) % len(window)]) for j in range(spec.num_deltas)]
+        deltas = spec.deltas.points
+        for chosen in (dense, sparse):
+            keys, _ = _normalize_coeffs(spec, {key: 1.0 for key in chosen})
+            cross = _cross_terms(spec, keys)
+            ref = loop_cross_terms(spec, keys)
+            assert np.max(np.abs(cross - ref)) <= 1e-13 * np.max(np.abs(ref))
+            # the J factors equal those evaluated on every pair, bit for bit
+            offsets = np.array([j for j, _ in keys])
+            ints = np.array([n for _, n in keys], dtype=float)
+            lattice = np.sum(unit_entries((deltas[offsets][:, None] - deltas[offsets][None]) @ spec.p.points.T), axis=2)
+            direct = lattice.copy()
+            for t in range(dim):
+                nu = (ints[:, None, t] - ints[None, :, t]) + (deltas[offsets, t][:, None] - deltas[offsets, t][None])
+                direct *= _unit_interval_integrals(nu)
+            assert np.array_equal(cross, direct)
+
+    def test_rejects_non_finite_coefficients(self):
+        spec = ExponentialSystemSpec(NodeSet([[0.0, 0.0], [0.5, 0.25]]), FrequencySet([[0, 0], [1, 0]]))
+        for bad in (math.nan, math.inf, complex(1.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                riesz_ratio(spec, {(0, (0, 0)): 1.0, (1, (0, 0)): bad})
 
     def test_rejects_empty_and_zero(self):
         spec = tight_spec()
@@ -297,11 +372,10 @@ class TestWitnessSandwich:
             w = extremal_witness(spec, "max")
             assert frame_ratio(w, 10_000) == pytest.approx(top, rel=1e-2)
 
-    def test_two_dim_witness_truncated_at_200(self, rng):
-        # cost grows like trunc^d, so d = 2 uses a 200-per-axis window
+    def test_two_dim_witness_truncated_at_10000(self, rng):
         for _ in range(3):
             spec = random_spec(rng, dim=2, max_l=5, max_n=4, aspect="tall")
             top = svd_values(build_gamma(spec.deltas, spec.p)).sigma_max ** 2
-            ratio = frame_ratio(extremal_witness(spec, "max"), 200)
+            ratio = frame_ratio(extremal_witness(spec, "max"), 10_000)
             assert ratio <= top + 1e-9
-            assert ratio == pytest.approx(top, rel=2e-2)
+            assert ratio == pytest.approx(top, rel=1e-2)
