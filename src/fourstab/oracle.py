@@ -222,7 +222,7 @@ def _cross_terms(spec: ExponentialSystemSpec, keys: list[tuple[int, tuple[int, .
         values, at = np.unique(ints[:, t], return_inverse=True)
         steps, step = np.unique(values[:, None] - values[None, :], return_inverse=True)
         step = step.reshape(values.size, values.size)[at[:, None], at[None, :]]
-        if used.size**2 * steps.size <= step.size:
+        if used.size**2 * steps.size <= len(keys) ** 2:
             cross *= _unit_interval_integrals(steps + diff[:, :, t, None])[pair + (step,)]
         else:  # keys too sparse for the table to be smaller than the K x K matrix
             cross *= _unit_interval_integrals(steps[step] + diff[pair + (t,)])

@@ -13,6 +13,7 @@ from fourstab.oracle import (
     FiniteSequence,
     _cross_terms,
     _normalize_coeffs,
+    _trigamma,
     _unit_interval_integrals,
     extremal_witness,
     frame_ratio,
@@ -86,6 +87,14 @@ class TestFrameRatio:
             assert ratios[-1] == pytest.approx(expected, rel=1e-13)
         assert all(b >= a for a, b in zip(ratios, ratios[1:]))
 
+    def test_trigamma_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.concatenate((np.linspace(1.0, 40.0, 391), np.geomspace(40.0, 1e12, 23)))
+        with mpmath.workdps(40):
+            for x, value in zip(xs, _trigamma(xs)):
+                exact = mpmath.psi(1, mpmath.mpf(float(x)))
+                assert abs(mpmath.mpf(float(value)) - exact) <= 5e-16 * exact
+
     def test_zero_offset_tail_is_exactly_one(self):
         # one offset at exactly 0: S_T(0) = 1, so the ratio is |sum phi|^2 / |phi|^2 for every T
         for spec in (
@@ -154,7 +163,6 @@ class TestFrameRatio:
         upper = svd_values(build_gamma(spec.deltas, spec.p)).sigma_max ** 2
         assert frame_ratio(w, trunc) <= upper * (1 + 1e-12)
         assert frame_ratio(w, trunc) >= frame_ratio(w, 10_000)
-
 
     def test_non_finite_witness_rejected(self):
         for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
@@ -254,14 +262,16 @@ class TestRieszRatio:
             cross = _cross_terms(spec, keys)
             ref = loop_cross_terms(spec, keys)
             assert np.max(np.abs(cross - ref)) <= 1e-13 * np.max(np.abs(ref))
-            # the J factors equal those evaluated on every pair, bit for bit
-            offsets = np.array([j for j, _ in keys])
+            # bit for bit the same as J evaluated on every pair
             ints = np.array([n for _, n in keys], dtype=float)
-            lattice = np.sum(unit_entries((deltas[offsets][:, None] - deltas[offsets][None]) @ spec.p.points.T), axis=2)
-            direct = lattice.copy()
+            diff = deltas[[j for j, _ in keys]]
+            diff = diff[:, None, :] - diff[None, :, :]
+            phase = np.zeros(diff.shape[:2] + (spec.num_p,))
             for t in range(dim):
-                nu = (ints[:, None, t] - ints[None, :, t]) + (deltas[offsets, t][:, None] - deltas[offsets, t][None])
-                direct *= _unit_interval_integrals(nu)
+                phase += diff[:, :, t, None] * spec.p.points[None, None, :, t]
+            direct = np.sum(unit_entries(phase), axis=2)
+            for t in range(dim):
+                direct *= _unit_interval_integrals((ints[:, None, t] - ints[None, :, t]) + diff[:, :, t])
             assert np.array_equal(cross, direct)
 
     def test_rejects_non_finite_coefficients(self):
