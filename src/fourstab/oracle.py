@@ -33,10 +33,11 @@ integral of e^{2 pi i nu y}.  The lattice sum depends only on the offset
 pair (j, i), so it is evaluated once as a table over the offsets in use
 (at most L x L); the K x K cross matrix is that table indexed by the
 offsets of the K coefficients.  On each axis J(nu_t) depends only on the
-offset pair and on the integer difference n_t - m_t, so J is evaluated on
-a table over the offset pairs and the distinct differences of the
-distinct integers on that axis, and gathered onto the K x K matrix (unless
-the keys are so sparse that this table would be larger than the matrix).
+offsets and on the integers n_t, m_t of the two keys, so J is evaluated on
+a table over the distinct (offset, n_t) pairs on that axis and gathered
+onto the K x K matrix.  That table is never larger than K x K; for L
+offsets on a window of w integers per axis it is Lw x Lw against
+K = L w^d.
 G itself is never formed.  No truncation is involved, so the Riesz ratio
 is exact up to roundoff.
 """
@@ -217,15 +218,14 @@ def _cross_terms(spec: ExponentialSystemSpec, keys: list[tuple[int, tuple[int, .
     pair = (col[:, None], col[None, :])
     cross = table[pair]
     for t in range(spec.dim):
-        # J(nu_t) depends only on the offset pair and on n_t - m_t: one table
-        # over the distinct differences of the distinct values on this axis.
+        # J(nu_t) depends only on the offsets and the integers n_t, m_t of the
+        # two keys: one table over the distinct (offset, n_t) of this axis,
+        # never larger than the K x K matrix.
         values, at = np.unique(ints[:, t], return_inverse=True)
-        steps, step = np.unique(values[:, None] - values[None, :], return_inverse=True)
-        step = step.reshape(values.size, values.size)[at[:, None], at[None, :]]
-        if used.size**2 * steps.size <= len(keys) ** 2:
-            cross *= _unit_interval_integrals(steps + diff[:, :, t, None])[pair + (step,)]
-        else:  # keys too sparse for the table to be smaller than the K x K matrix
-            cross *= _unit_interval_integrals(steps[step] + diff[pair + (t,)])
+        kinds, at = np.unique(col * values.size + at, return_inverse=True)
+        c, v = np.divmod(kinds, values.size)
+        nu = (values[v][:, None] - values[v][None, :]) + diff[c[:, None], c[None, :], t]
+        cross *= _unit_interval_integrals(nu)[at[:, None], at[None, :]]
     return cross
 
 

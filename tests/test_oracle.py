@@ -251,9 +251,8 @@ class TestRieszRatio:
         spec = random_spec(rng, dim=dim, max_l=4, max_n=4)
         far = (-7, 0, 5, 10**9)
         window = list(itertools.product(far, repeat=dim))
-        # every offset with every far n gives a table over (offset pair,
-        # difference) smaller than the K x K matrix; one far n per offset gives
-        # keys too sparse for that table
+        # every offset with every far n: in 2-D keys share their (offset, n_t)
+        # on each axis; one far n per offset: every key is its own (offset, n_t)
         dense = [(j, n) for n in window for j in range(spec.num_deltas)]
         sparse = [(j, window[(3 * j + 1) % len(window)]) for j in range(spec.num_deltas)]
         deltas = spec.deltas.points
