@@ -78,12 +78,15 @@ def _require_distinct(arr: np.ndarray, what: str) -> None:
 def phase_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise dot products a_i . b_j, accumulated axis by axis.
 
-    The fixed accumulation order makes phase_matrix(a, b) the exact
-    (bitwise) transpose of phase_matrix(b, a).
+    ``a`` is (..., R, d) and ``b`` is (..., C, d); leading axes broadcast,
+    and the result is (..., R, C).  The fixed accumulation order makes
+    phase_matrix(a, b) the exact (bitwise) transpose of phase_matrix(b, a),
+    and each matrix of a stack equals its own unstacked evaluation.
     """
-    out = np.zeros((a.shape[0], b.shape[0]))
-    for t in range(a.shape[1]):
-        out += a[:, t, None] * b[None, :, t]
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.zeros(lead + (a.shape[-2], b.shape[-2]))
+    for t in range(a.shape[-1]):
+        out += a[..., :, t, None] * b[..., None, :, t]
     return out
 
 
@@ -92,20 +95,38 @@ def unit_entries(phase: np.ndarray) -> np.ndarray:
 
     Folding to the nearest quarter turn keeps the cos/sin argument in
     [-pi/4, pi/4] and makes entries at quarter phases (1, i, -1, -i) exact.
+    ``x - floor(x)`` equals ``np.mod(x, 1.0)`` bit for bit (both are exact
+    for |x| >= 1 and round x + 1 once for -1 < x < 0) and is cheaper.
     """
-    frac = np.mod(np.asarray(phase, dtype=float), 1.0)
+    x = np.asarray(phase, dtype=float)
+    frac = x - np.floor(x)
     quarter = np.floor(4.0 * frac + 0.5)
     return _quarter_turned(frac - 0.25 * quarter, quarter.astype(int))
 
 
 def _quarter_turned(offset: np.ndarray, quarter: np.ndarray) -> np.ndarray:
-    """exp(2*pi*i*(quarter/4 + offset)) for |offset| <= 1/8, exact at offset 0."""
+    """exp(2*pi*i*(quarter/4 + offset)) for |offset| <= 1/8, exact at offset 0.
+
+    With c, s = cos, sin of 2*pi*offset, quarter q mod 4 gives
+    (c, s), (-s, c), (-c, -s), (s, -c): odd q swaps the pair, q in {1, 2}
+    negates the real part and q in {2, 3} the imaginary part.
+    """
     ang = 2.0 * np.pi * offset
     c, s = np.cos(ang), np.sin(ang)
     q = quarter % 4
-    re = np.choose(q, [c, -s, -c, s])
-    im = np.choose(q, [s, c, -s, -c])
+    odd = (q & 1).astype(bool)
+    re = np.where(odd, s, c)
+    im = np.where(odd, c, s)
+    np.negative(re, out=re, where=(q == 1) | (q == 2))
+    np.negative(im, out=im, where=q >= 2)
     return re + 1j * im
+
+
+def _require_finite(entries: np.ndarray) -> np.ndarray:
+    """``entries`` itself; raises ValueError if any entry is not finite."""
+    if not np.isfinite(entries.real).all() or not np.isfinite(entries.imag).all():
+        raise ValueError("ComplexDense entries must be finite")
+    return entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,8 +144,7 @@ class ComplexDense:
         arr = np.array(self.data, dtype=np.complex128, order="C")
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"ComplexDense requires a nonempty 2-D array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValueError("ComplexDense entries must be finite")
+        _require_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "notes", tuple(self.notes))
@@ -370,9 +390,18 @@ def build_vandermonde(L: int, nodes: Sequence[float]) -> ComplexDense:
     notes: tuple[str, ...] = ()
     if len(set(xs.tolist())) != xs.size:
         notes = ("duplicate nodes modulo 1: matrix is rank deficient",)
+    return ComplexDense(_vandermonde_entries(L, xs), notes=notes)
+
+
+def _vandermonde_entries(L: int, nodes: np.ndarray) -> np.ndarray:
+    """Entries exp(2*pi*i * j * x_k), j = 0..L-1, for a (..., N) node array.
+
+    The result is (..., L, N): one Vandermonde matrix per node set of the
+    stack, each equal bit for bit to its own unstacked evaluation.  Nodes
+    are reduced into [0, 1) first; nothing else is checked.
+    """
     rows = np.arange(L, dtype=float).reshape(-1, 1)
-    mat = _fourier_from_arrays(rows, xs.reshape(-1, 1))
-    return ComplexDense(mat.data, notes=notes)
+    return unit_entries(phase_matrix(rows, torus_canonical(nodes)[..., None]))
 
 
 def build_dft(m: Sequence[int]) -> ComplexDense:
@@ -395,8 +424,19 @@ def build_perturbed_dft_freq(m: Sequence[int], eps: PerturbationMap) -> ComplexD
     deficient (a legitimate object of study).
     """
     dims = [int(x) for x in m]
+    return ComplexDense(_perturbed_dft_entries(dims, eps.shifts(dims)))
+
+
+def _perturbed_dft_entries(dims: Sequence[int], shifts: np.ndarray) -> np.ndarray:
+    """Entries of F(Omega', U) for a (..., P, d) stack of lattice shifts.
+
+    Row j of each matrix is the lattice point j shifted by its row of
+    ``shifts`` (in ``rect_lattice_points`` order), column k the node k/M.
+    The result is (..., P, P), each matrix equal bit for bit to its own
+    unstacked evaluation.
+    """
     lattice = rect_lattice_points(dims)
-    return _fourier_from_arrays(lattice + eps.shifts(dims), lattice / np.asarray(dims, dtype=float))
+    return unit_entries(phase_matrix(lattice + shifts, lattice / np.asarray(dims, dtype=float)))
 
 
 def _require_odd(n: int) -> None:

@@ -9,7 +9,6 @@ and, as an object member, flagged by a ``<name>_nonfinite`` sibling.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
@@ -21,10 +20,11 @@ import numpy as np
 
 from . import bounds as bnd
 from .core_matrix import (
-    PerturbationMap,
+    ComplexDense,
+    _perturbed_dft_entries,
+    _require_finite,
+    _vandermonde_entries,
     build_figure1,
-    build_perturbed_dft_freq,
-    build_vandermonde,
     figure1_gram,
     rect_lattice_points,
 )
@@ -166,36 +166,91 @@ def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(trial_index)])
 
 
+# Most matrix entries built and decomposed as one stack (64 KiB of complex
+# entries).  Small matrices go several to a stack, where the per-trial
+# overhead dominates; large ones go one at a time, where the SVD dominates
+# and a bigger stack only adds memory.  A benchmark round of the soundness
+# sweeps took the same time (0.073-0.076 s, 1 BLAS thread, 2-vCPU VM) with
+# 2**12, 2**13 or 2**14 entries per stack, and its peak RSS was about 0.2, 0.8
+# and 1.5 MB above one SVD per trial; at 2**16 the stability_* configs'
+# peak RSS rose by up to 6 MB (15%).
+_STACK_ENTRIES = 1 << 12
+
+
+def _stacks(shapes: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Trial indices grouped by matrix shape, each group cut into runs of at
+    most ``_STACK_ENTRIES`` entries (and at least one matrix)."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(k)
+    runs = []
+    for (rows, cols), members in groups.items():
+        step = max(1, _STACK_ENTRIES // (rows * cols))
+        runs += [members[lo : lo + step] for lo in range(0, len(members), step)]
+    return runs
+
+
+def _singular_values(stack: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of every matrix of a (T, R, C) stack.
+
+    One finiteness check covers the whole stack, and one values-only SVD
+    call decomposes it, matrix by matrix, as it would each matrix alone.
+    """
+    return np.linalg.svd(_require_finite(stack), compute_uv=False)
+
+
 def _sweep(
     experiment: str,
     tag: str,
     jobs: Sequence,
-    trial: Callable[[object, int, np.random.Generator], tuple],
+    draw: Callable[[object, int, np.random.Generator], tuple],
+    measure: Callable[[object, list], list],
     cfg: SweepConfig,
 ) -> list[SweepRecord]:
-    """Run ``trial(job, t, rng)`` for every job and every t < cfg.trials.
+    """Run every job for ``cfg.trials`` trials, drawing first, then measuring.
 
-    A trial returns the record's params, measured, bounds and violations
-    columns and the matrix to dump if a violation is flagged.  Trial i of
-    the flattened (job, t) grid draws from ``_trial_rng(cfg.seed, i)`` and
-    its wall time runs from that stream's creation to its record's.  With
-    an output path set, the CSV and its JSON report are written there.
+    Draw: trial i of the flattened (job, t) grid calls ``draw(job, t, rng)``
+    with its own stream ``rng = _trial_rng(cfg.seed, i)``; it returns the
+    trial's matrix shape (rows, cols) and its inputs.  Measure: the job's
+    trials are grouped by shape and cut into stacks of at most
+    ``_STACK_ENTRIES`` entries, and ``measure(job, inputs)`` gets the inputs
+    of one stack, builds their matrices as one (T, R, C) array, takes their
+    singular values with one SVD call and returns, in the same order, each
+    trial's params, measured, bounds and violations columns and its matrix
+    (dumped as JSON if a violation is flagged).  A trial's stream may be
+    part of its inputs, so that measure can continue it.
+
+    A record's ``wall_time_s`` is its own draw time (stream creation
+    included) plus an equal share of its job's measure time, so the times
+    of a sweep's records sum to less than its elapsed time.  With an output
+    path set, the CSV and its JSON report are written there.
     """
     if not jobs:
         raise ValueError(f"{experiment}: the sweep grid must be nonempty")
     started = time.perf_counter()
-    records = []
-    for i, (job, t) in enumerate(itertools.product(jobs, range(cfg.trials))):
+    records: list[SweepRecord] = []
+    for job in jobs:
+        first = len(records)
+        drawn, draw_s = [], []
+        for t in range(cfg.trials):
+            t0 = time.perf_counter()
+            drawn.append(draw(job, t, _trial_rng(cfg.seed, first + t)))
+            draw_s.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        rng = _trial_rng(cfg.seed, i)
-        params, measured, bounds, violations, matrix = trial(job, t, rng)
-        rec = SweepRecord(experiment, params, measured, bounds, violations, wall_time_s=time.perf_counter() - t0)
-        if rec.violated:
-            base = Path(cfg.output_path or "violation")
-            dump = base.with_name(base.name + f".violation-{tag}-{i}.json")
-            dump.write_text(matrix.to_json())
-            rec.artifacts["matrix_dump"] = str(dump)
-        records.append(rec)
+        done: list = [None] * cfg.trials
+        for run in _stacks([shape for shape, _ in drawn]):
+            for k, (params, measured, bounds, violations, matrix) in zip(run, measure(job, [drawn[k][1] for k in run])):
+                rec = SweepRecord(experiment, params, measured, bounds, violations)
+                if rec.violated:
+                    base = Path(cfg.output_path or "violation")
+                    dump = base.with_name(base.name + f".violation-{tag}-{first + k}.json")
+                    dump.write_text(ComplexDense(matrix).to_json())
+                    rec.artifacts["matrix_dump"] = str(dump)
+                done[k] = rec
+        share = (time.perf_counter() - t0) / cfg.trials
+        for rec, seconds in zip(done, draw_s):
+            rec.wall_time_s = seconds + share
+        records += done
     if cfg.output_path:
         out = Path(cfg.output_path)
         write_csv(records, out)
@@ -229,7 +284,7 @@ def figure1_sweep(n_list: Sequence[int], cfg: SweepConfig) -> list[SweepRecord]:
         if n < 3 or n % 2 == 0:
             raise ValueError(f"sizes must be odd integers >= 3, got {n}")
 
-    def trial(n: int, t: int, rng: np.random.Generator) -> tuple:
+    def measure(n: int, inputs: list) -> list:
         if n <= cfg.crossover:
             summary = svd_values(build_figure1(n))
             smax, smin, method = summary.sigma_max, summary.sigma_min, METHOD_FULL
@@ -240,10 +295,10 @@ def figure1_sweep(n_list: Sequence[int], cfg: SweepConfig) -> list[SweepRecord]:
                 raise UnconvergedError(f"size n={n}: {exc}", exc.best_estimate, exc.iterations)
             method = METHOD_ITERATIVE
         kappa = smax / smin if smin > 0 else math.inf
-        return {"n": n, "method": method}, {"sigma_min": smin, "sigma_max": smax, "kappa": kappa}, {}, {}, None
+        return [({"n": n, "method": method}, {"sigma_min": smin, "sigma_max": smax, "kappa": kappa}, {}, {}, None)]
 
     # The family is deterministic: one record per size, whatever cfg.trials says.
-    return _sweep("figure1", "figure1", sizes, trial, replace(cfg, trials=1))
+    return _sweep("figure1", "figure1", sizes, lambda n, t, rng: ((n, n), None), measure, replace(cfg, trials=1))
 
 
 def freq_stability_sweep(
@@ -260,9 +315,12 @@ def freq_stability_sweep(
     for e in ells:
         if not 0.0 <= e < 0.25:
             raise ValueError(f"perturbation sizes must lie in [0, 1/4), got {e}")
-    size, d = len(rect_lattice_points(dims)), len(dims)  # rect_lattice_points checks the sides
+    lattice = rect_lattice_points(dims).astype(np.intp)  # rect_lattice_points checks the sides
+    size, d = lattice.shape
+    reports = {ell: bnd.dft_freq_bounds(dims, ell, rank_one) for ell in ells}
+    label = "x".join(map(str, dims))
 
-    def trial(ell: float, t: int, rng: np.random.Generator) -> tuple:
+    def draw(ell: float, t: int, rng: np.random.Generator) -> tuple:
         if rank_one:
             # One draw per component, in axis then index order.
             axes = [rng.uniform(-ell, ell, mk) if ell > 0 else np.zeros(mk) for mk in dims]
@@ -270,25 +328,31 @@ def freq_stability_sweep(
             pos = int(rng.integers(dims[axis]))
             sign = 1.0 if rng.random() < 0.5 else -1.0
             axes[axis][pos] = sign * ell
-            eps = PerturbationMap.rank_one(axes)
+            # eps at lattice point n is (a_1[n_1], ..., a_d[n_d])
+            shifts = np.stack([a[lattice[:, k]] for k, a in enumerate(axes)], axis=1)
         else:
-            vals = rng.uniform(-ell, ell, size=(size, d)) if ell > 0 else np.zeros((size, d))
+            shifts = rng.uniform(-ell, ell, size=(size, d)) if ell > 0 else np.zeros((size, d))
             pos = int(rng.integers(size))
             axis = int(rng.integers(d))
             sign = 1.0 if rng.random() < 0.5 else -1.0
-            vals[pos, axis] = sign * ell
-            eps = PerturbationMap.general(vals)
-        mat = build_perturbed_dft_freq(dims, eps)
-        summary = svd_values(mat)
-        report = bnd.dft_freq_bounds(dims, ell, rank_one)
-        return (
-            {"m": "x".join(map(str, dims)), "ell": ell, "trial": t, "rank_one": rank_one},
-            {"sigma_min": summary.sigma_min, "sigma_max": summary.sigma_max},
-            *_bound_check(report, summary.sigma_min, summary.sigma_max),
-            mat,
-        )
+            shifts[pos, axis] = sign * ell
+        return (size, size), (t, shifts)
 
-    return _sweep("freq_stability", "freq", ells, trial, cfg)
+    def measure(ell: float, inputs: list) -> list:
+        stack = _perturbed_dft_entries(dims, np.stack([shifts for _, shifts in inputs]))
+        s = _singular_values(stack)
+        out = []
+        for (t, _), mat, sv in zip(inputs, stack, s):
+            smin, smax = float(sv[-1]), float(sv[0])
+            out.append((
+                {"m": label, "ell": ell, "trial": t, "rank_one": rank_one},
+                {"sigma_min": smin, "sigma_max": smax},
+                *_bound_check(reports[ell], smin, smax),
+                mat,
+            ))
+        return out
+
+    return _sweep("freq_stability", "freq", ells, draw, measure, cfg)
 
 
 def _separated_nodes(
@@ -309,64 +373,89 @@ def node_stability_sweep(
 ) -> list[SweepRecord]:
     """Random node perturbations u_k -> u_k + delta_k / L of a Vandermonde matrix.
 
-    Base nodes are drawn well separated (sep >= 2/L); trials where the
-    applicability gate C(ell) < sigma_r/sigma_1 fails are recorded as not
-    applicable, not as violations.
+    Base nodes are drawn well separated (sep >= 2/L, so n <= L/2; at
+    n = L/2 only exactly equispaced nodes qualify, and the draw fails);
+    trials where the applicability gate C(ell) < sigma_r/sigma_1 fails are
+    recorded as not applicable, not as violations.  An applicable trial
+    draws its delta from its own stream, after its base nodes.
     """
     ells = [float(e) for e in ell_grid]
-    if n < 2 or L < n:
-        raise ValueError(f"need 2 <= n <= L, got n={n}, L={L}")
+    if n < 2 or 2 * n > L:
+        raise ValueError(f"need 2 <= n <= L/2 for nodes separated by 2/L, got n={n}, L={L}")
     target_sep = 2.0 / L
     amplitude = max(0.02, 0.4 * (1.0 - n * target_sep))
 
-    def trial(ell: float, t: int, rng: np.random.Generator) -> tuple:
+    def draw(ell: float, t: int, rng: np.random.Generator) -> tuple:
         base, _ = _separated_nodes(rng, n, amplitude, lambda sep: sep >= target_sep, f">= {target_sep}")
-        v = build_vandermonde(L, base)
-        s = np.linalg.svd(v.data, compute_uv=False)
-        sigma_1, sigma_r = float(s[0]), float(s[min(L, n) - 1])
-        report = bnd.vandermonde_node_bounds(sigma_r, sigma_1, ell)
-        sig1p = sigrp = math.nan
-        vp = None
-        bounds = {"sigma_min_lower": math.nan, "sigma_max_upper": math.nan}
-        violations = {"lower": False, "upper": False}
-        if report.applicable:
-            delta = rng.uniform(-ell, ell, n) if ell > 0 else np.zeros(n)
-            pos = int(rng.integers(n))
-            delta[pos] = (1.0 if rng.random() < 0.5 else -1.0) * ell
-            vp = build_vandermonde(L, base + delta / L)
-            sp = np.linalg.svd(vp.data, compute_uv=False)
-            sig1p, sigrp = float(sp[0]), float(sp[min(L, n) - 1])
-            bounds, violations = _bound_check(report, sigrp, sig1p)
-        return (
-            {"L": L, "n": n, "ell": ell, "trial": t, "applicable": report.applicable},
-            {"sigma_r": sigma_r, "sigma_1": sigma_1, "sigma_r_pert": sigrp, "sigma_1_pert": sig1p},
-            bounds,
-            violations,
-            vp,
-        )
+        return (L, n), (t, base, rng)
 
-    return _sweep("node_stability", "node", ells, trial, cfg)
+    def perturbed(ell: float, base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        delta = rng.uniform(-ell, ell, n) if ell > 0 else np.zeros(n)
+        pos = int(rng.integers(n))
+        delta[pos] = (1.0 if rng.random() < 0.5 else -1.0) * ell
+        return base + delta / L
+
+    def measure(ell: float, inputs: list) -> list:
+        # n <= L/2 < L, so sigma_r is the last of the n singular values.
+        s = _singular_values(_vandermonde_entries(L, np.stack([base for _, base, _ in inputs])))
+        reports = [bnd.vandermonde_node_bounds(float(sv[-1]), float(sv[0]), ell) for sv in s]
+        gated = [k for k, report in enumerate(reports) if report.applicable]
+        pert = {}
+        if gated:
+            stack = _vandermonde_entries(L, np.stack([perturbed(ell, *inputs[k][1:]) for k in gated]))
+            pert = dict(zip(gated, zip(stack, _singular_values(stack))))
+        out = []
+        for k, ((t, _, _), sv, report) in enumerate(zip(inputs, s, reports)):
+            sig1p = sigrp = math.nan
+            vp = None
+            bounds = {"sigma_min_lower": math.nan, "sigma_max_upper": math.nan}
+            violations = {"lower": False, "upper": False}
+            if report.applicable:
+                vp, sp = pert[k]
+                sig1p, sigrp = float(sp[0]), float(sp[-1])
+                bounds, violations = _bound_check(report, sigrp, sig1p)
+            out.append((
+                {"L": L, "n": n, "ell": ell, "trial": t, "applicable": report.applicable},
+                {"sigma_r": float(sv[-1]), "sigma_1": float(sv[0]), "sigma_r_pert": sigrp, "sigma_1_pert": sig1p},
+                bounds,
+                violations,
+                vp,
+            ))
+        return out
+
+    return _sweep("node_stability", "node", ells, draw, measure, cfg)
 
 
 def wellsep_sweep(L_grid: Sequence[int], cfg: SweepConfig) -> list[SweepRecord]:
-    """Random well-separated node sets versus the two-sided squared bound."""
-    sizes = [int(x) for x in L_grid]
+    """Random well-separated node sets versus the two-sided squared bound.
 
-    def trial(L: int, t: int, rng: np.random.Generator) -> tuple:
+    Each trial draws its node count n, then n nodes separated by more than
+    1/L (which needs L >= 3); the trials of one L are stacked by n.
+    """
+    sizes = [int(x) for x in L_grid]
+    for L in sizes:
+        if L < 3:
+            raise ValueError(f"need L >= 3 for two nodes separated by more than 1/L, got L={L}")
+
+    def draw(L: int, t: int, rng: np.random.Generator) -> tuple:
         n = int(rng.integers(2, max(3, L // 2 + 1)))
         nodes, sep = _separated_nodes(rng, n, 0.4 * (1.0 - n / L), lambda sep: sep > 1.0 / L, f"> 1/{L}")
-        v = build_vandermonde(L, nodes)
-        s = np.linalg.svd(v.data, compute_uv=False)
-        smin_sq, smax_sq = float(s[-1] ** 2), float(s[0] ** 2)
-        report = bnd.wellsep_bounds(L, sep)
-        return (
-            {"L": L, "n": n, "trial": t, "sep": sep},
-            {"sigma_min_sq": smin_sq, "sigma_max_sq": smax_sq},
-            *_bound_check(report, smin_sq, smax_sq, columns=("lower_sq", "upper_sq")),
-            v,
-        )
+        return (L, n), (t, nodes, sep)
 
-    return _sweep("wellsep", "wellsep", sizes, trial, cfg)
+    def measure(L: int, inputs: list) -> list:
+        stack = _vandermonde_entries(L, np.stack([nodes for _, nodes, _ in inputs]))
+        out = []
+        for (t, nodes, sep), v, s in zip(inputs, stack, _singular_values(stack)):
+            smin_sq, smax_sq = float(s[-1] ** 2), float(s[0] ** 2)
+            out.append((
+                {"L": L, "n": nodes.size, "trial": t, "sep": sep},
+                {"sigma_min_sq": smin_sq, "sigma_max_sq": smax_sq},
+                *_bound_check(bnd.wellsep_bounds(L, sep), smin_sq, smax_sq, columns=("lower_sq", "upper_sq")),
+                v,
+            ))
+        return out
+
+    return _sweep("wellsep", "wellsep", sizes, draw, measure, cfg)
 
 
 def _bisect(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -449,28 +538,31 @@ def clump_experiment(
                 f"clusters cannot be separated by 3*lambda/L with r={r}, alpha={alpha}"
             )
 
-    def trial(alpha: float, t: int, rng: np.random.Generator) -> tuple:
-        centers = (np.arange(r) + rng.random() + 0.1 * rng.uniform(-1, 1, r)) / r
-        nodes = np.mod(
-            np.concatenate([c + alpha * np.arange(lam) for c in centers]), 1.0
-        )
-        dec = clump_decompose(nodes, L, lam)
-        v = build_vandermonde(L, nodes)
-        s = np.linalg.svd(v.data, compute_uv=False)
-        sigma_n, sigma_1 = float(s[N - 1]), float(s[0])
-        report = bnd.clump_bounds(L, N, alpha, lam, *constants)
-        return (
-            {
-                "L": L,
-                "N": N,
-                "alpha": alpha,
-                "lambda": lam,
-                "trial": t,
-                "hypotheses_ok": dec.hypotheses_ok,
-            },
-            {"sigma_N": sigma_n, "sigma_1": sigma_1},
-            *_bound_check(report, None, sigma_1),
-            v,
-        )
+    reports = {alpha: bnd.clump_bounds(L, N, alpha, lam, *constants) for alpha in alphas}
 
-    return _sweep("clump", "clump", alphas, trial, cfg)
+    def draw(alpha: float, t: int, rng: np.random.Generator) -> tuple:
+        centers = (np.arange(r) + rng.random() + 0.1 * rng.uniform(-1, 1, r)) / r
+        nodes = np.mod((centers[:, None] + alpha * np.arange(lam)).reshape(-1), 1.0)
+        return (L, N), (t, nodes)
+
+    def measure(alpha: float, inputs: list) -> list:
+        stack = _vandermonde_entries(L, np.stack([nodes for _, nodes in inputs]))
+        out = []
+        for (t, nodes), v, s in zip(inputs, stack, _singular_values(stack)):
+            sigma_n, sigma_1 = float(s[N - 1]), float(s[0])
+            out.append((
+                {
+                    "L": L,
+                    "N": N,
+                    "alpha": alpha,
+                    "lambda": lam,
+                    "trial": t,
+                    "hypotheses_ok": clump_decompose(nodes, L, lam).hypotheses_ok,
+                },
+                {"sigma_N": sigma_n, "sigma_1": sigma_1},
+                *_bound_check(reports[alpha], None, sigma_1),
+                v,
+            ))
+        return out
+
+    return _sweep("clump", "clump", alphas, draw, measure, cfg)

@@ -20,8 +20,11 @@ from fourstab.core_matrix import (
     build_perturbed_dft_freq,
     build_vandermonde,
     figure1_gram,
+    phase_matrix,
     rect_lattice_points,
+    unit_entries,
 )
+from fourstab.core_matrix import _perturbed_dft_entries, _vandermonde_entries
 
 
 class TestComplexDense:
@@ -454,6 +457,70 @@ class TestFigure1Gram:
     def test_even_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             figure1_gram(6)
+
+
+def mod_choose_unit_entries(phase):
+    """Reference exp(2*pi*i*phase): the phase reduced with np.mod, the
+    quadrant picked with np.choose from (c, s), (-s, c), (-c, -s), (s, -c)."""
+    frac = np.mod(np.asarray(phase, dtype=float), 1.0)
+    quarter = np.floor(4.0 * frac + 0.5)
+    ang = 2.0 * np.pi * (frac - 0.25 * quarter)
+    c, s = np.cos(ang), np.sin(ang)
+    q = quarter.astype(int) % 4
+    return np.choose(q, [c, -s, -c, s]) + 1j * np.choose(q, [s, c, -s, -c])
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+class TestUnitEntries:
+    def test_bit_identical_to_mod_choose_reference(self, rng):
+        edges = [0.0, -0.0, 1e-17, -1e-17, -2.0**-60, 1 - 2.0**-53, 0.125, -0.125, 0.375, 0.875,
+                 2.0**52 + 0.5, -(2.0**52 + 0.5), 1e16, -1e16]
+        quarters = np.arange(-40, 41) / 4
+        phases = np.concatenate([
+            edges,
+            quarters,
+            np.nextafter(quarters, np.inf),
+            np.nextafter(quarters, -np.inf),
+            np.arange(-40, 41) / 8,
+            rng.uniform(-5, 5, 20_000),
+            rng.uniform(-1e16, 1e16, 2_000),
+            1e-12 * rng.standard_normal(2_000),
+        ])
+        assert _bits(unit_entries(phases)) == _bits(mod_choose_unit_entries(phases))
+        stack = rng.uniform(-3, 3, (4, 5, 6))
+        assert _bits(unit_entries(stack)) == _bits(mod_choose_unit_entries(stack))
+        assert _bits(unit_entries(0.3)) == _bits(mod_choose_unit_entries(0.3))
+
+
+class TestStackedEntries:
+    """Each matrix of a stack equals its own unstacked evaluation, bit for bit."""
+
+    def test_phase_matrix_broadcasts_leading_axes(self, rng):
+        a, b = rng.uniform(-4, 4, (3, 5, 2)), rng.uniform(-4, 4, (6, 2))
+        stacked = phase_matrix(a, b)
+        assert stacked.shape == (3, 5, 6)
+        for k in range(3):
+            assert _bits(stacked[k]) == _bits(phase_matrix(a[k], b))
+            assert _bits(stacked[k]) == _bits(phase_matrix(b, a[k]).T)
+
+    def test_vandermonde_stack(self, rng):
+        nodes = rng.uniform(-2, 2, (4, 7))
+        stack = _vandermonde_entries(9, nodes)
+        assert stack.shape == (4, 9, 7)
+        for k in range(4):
+            assert _bits(stack[k]) == _bits(build_vandermonde(9, nodes[k]).data)
+
+    @pytest.mark.parametrize("dims", [(8,), (3, 4), (2, 2, 3)])
+    def test_perturbed_dft_stack(self, rng, dims):
+        size, d = math.prod(dims), len(dims)
+        shifts = rng.uniform(-0.24, 0.24, (3, size, d))
+        stack = _perturbed_dft_entries(dims, shifts)
+        assert stack.shape == (3, size, size)
+        for k in range(3):
+            assert _bits(stack[k]) == _bits(build_perturbed_dft_freq(dims, PerturbationMap.general(shifts[k])).data)
 
 
 @settings(max_examples=40, deadline=None)
